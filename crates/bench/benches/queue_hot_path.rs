@@ -1,33 +1,24 @@
-//! Queue hot-path micro-bench: mutex/condvar [`SharedQueue`] vs the
-//! lock-free SPSC ring, with a regression gate in the style of
-//! `trace_overhead`.
+//! Queue hot-path micro-bench for the lock-free SPSC ring, with a
+//! regression gate in the style of `trace_overhead`.
 //!
-//! Three scenario families over the same `SimQueue` protocol:
+//! Two single-thread scenarios over the `SimQueue` protocol:
 //!
-//! * `uncontended items` — single thread, one `produce`/`consume` call
-//!   per unit (the per-item synchronization cost with nobody waiting);
-//! * `uncontended slices` — single thread, one call per 64-unit batch
-//!   through `push_slice`/`pop_slice` (the batched hot path);
-//! * `ping-pong` — a real producer thread against a real consumer
-//!   thread through a 64-slot queue, at batch sizes 1 and 64 (the
-//!   contended path, including the spin-then-park slow path).
+//! * `uncontended items` — one `produce`/`consume` call per unit (the
+//!   per-item synchronization cost with nobody waiting);
+//! * `uncontended slices` — one call per 64-unit batch through
+//!   `push_slice`/`pop_slice` (the batched hot path).
 //!
-//! Two gates. First, the lock-free transport exists to be cheaper than
-//! the mutex baseline, so its median must never exceed the mutex median
-//! by more than the tolerance. Second, the zero-copy slice path exists
-//! to beat per-item calls, so the lock-free 64-unit slice scenario must
-//! run at least [`ZERO_COPY_FLOOR`]x faster than the lock-free per-item
-//! scenario. Uncontended scenarios are enforced on every
-//! host; the contended ones only where `available_parallelism() >= 2`
-//! (on a single core a ping-pong measures the scheduler, not the
-//! queue — skipped with a loud log, like `parallel_throughput`'s
-//! multicore gate).
+//! The gate: the zero-copy slice path exists to beat per-item calls, so
+//! the slice scenario must run at least [`ZERO_COPY_FLOOR`]x faster than
+//! the per-item scenario. The contended two-thread path is measured end
+//! to end by the repository benchmark (`transport.ns_per_item` and
+//! `transport.wake_us`).
 //!
 //! A plain harness (not Criterion) so the comparison can fail the build.
 
 use std::time::{Duration, Instant};
 
-use cg_queue::{spsc_pair, QueueSpec, SharedQueue, Side, SimQueue, Unit};
+use cg_queue::{spsc_pair, QueueSpec, Unit};
 
 /// Queue capacity for every scenario: 8 worksets of 8 units, so per-item
 /// scenarios exercise the shared-pointer publication cadence without any
@@ -35,15 +26,11 @@ use cg_queue::{spsc_pair, QueueSpec, SharedQueue, Side, SimQueue, Unit};
 const CAP: usize = 64;
 /// Units moved per timed round in each scenario.
 const TOTAL: usize = 32_768;
-/// Timed rounds per transport (medians are compared).
+/// Timed rounds per scenario (medians are compared).
 const ROUNDS: usize = 9;
-/// Uncontended gate: lock-free may not exceed mutex by more than this.
-const UNCONTENDED_TOL: f64 = 1.15;
-/// Contended gate, enforced only on multicore hosts.
-const CONTENDED_TOL: f64 = 1.30;
-/// Zero-copy gate: the 64-unit slice path must beat per-item calls on
-/// the lock-free transport by at least this factor (the batch path is
-/// the whole point of the reserve/commit ring segments).
+/// Zero-copy gate: the 64-unit slice path must beat per-item calls by at
+/// least this factor (the batch path is the whole point of the
+/// reserve/commit ring segments).
 const ZERO_COPY_FLOOR: f64 = 1.5;
 /// Generous stall backstop — a wedged bench run should error, not hang.
 const STALL: Duration = Duration::from_secs(10);
@@ -54,28 +41,7 @@ fn spec() -> QueueSpec {
 
 /// One blocking call per unit, single thread; `CAP`-unit bursts keep the
 /// queue inside its capacity while crossing every workset boundary.
-fn mutex_items() -> f64 {
-    let q = SharedQueue::with_stall_timeout(SimQueue::new(spec()), STALL);
-    let start = Instant::now();
-    let mut v = 0u32;
-    for _ in 0..TOTAL / CAP {
-        for _ in 0..CAP {
-            q.produce(|qq| qq.try_push(Unit::Item(v)).ok())
-                .expect("push");
-            v = v.wrapping_add(1);
-        }
-        for _ in 0..CAP {
-            q.consume(|qq| qq.try_pop().map(|_| ())).expect("pop");
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    q.close(Side::Producer);
-    q.close(Side::Consumer);
-    secs
-}
-
-/// Lock-free twin of [`mutex_items`].
-fn lock_free_items() -> f64 {
+fn items() -> f64 {
     let (mut p, mut c, _stats) = spsc_pair(spec(), STALL);
     let start = Instant::now();
     let mut v = 0u32;
@@ -93,28 +59,7 @@ fn lock_free_items() -> f64 {
 }
 
 /// One blocking call per `CAP`-unit slice, single thread.
-fn mutex_slices() -> f64 {
-    let q = SharedQueue::with_stall_timeout(SimQueue::new(spec()), STALL);
-    let batch: Vec<Unit> = (0..CAP as u32).map(Unit::Item).collect();
-    let mut out: Vec<Unit> = Vec::with_capacity(CAP);
-    let start = Instant::now();
-    for _ in 0..TOTAL / CAP {
-        q.produce(|qq| (qq.push_slice(&batch) == CAP).then_some(()))
-            .expect("push");
-        q.consume(|qq| {
-            out.clear();
-            (qq.pop_slice(&mut out, CAP) == CAP).then_some(())
-        })
-        .expect("pop");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    q.close(Side::Producer);
-    q.close(Side::Consumer);
-    secs
-}
-
-/// Lock-free twin of [`mutex_slices`].
-fn lock_free_slices() -> f64 {
+fn slices() -> f64 {
     let (mut p, mut c, _stats) = spsc_pair(spec(), STALL);
     let batch: Vec<Unit> = (0..CAP as u32).map(Unit::Item).collect();
     let mut out: Vec<Unit> = Vec::with_capacity(CAP);
@@ -131,231 +76,50 @@ fn lock_free_slices() -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Times one mutex-transport ping-pong round.
-fn mutex_ping_pong(batch: usize) -> f64 {
-    let q = SharedQueue::with_stall_timeout(SimQueue::new(spec()), STALL);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        let qc = &q;
-        scope.spawn(move || {
-            let mut got = 0usize;
-            let mut sink: Vec<Unit> = Vec::with_capacity(batch);
-            while got < TOTAL {
-                got += qc
-                    .consume(|qq| {
-                        sink.clear();
-                        let n = qq.pop_slice(&mut sink, batch);
-                        (n > 0).then_some(n)
-                    })
-                    .expect("pop");
-            }
-            qc.close(Side::Consumer);
-        });
-        let batch_units: Vec<Unit> = (0..batch as u32).map(Unit::Item).collect();
-        let mut sent = 0usize;
-        while sent < TOTAL {
-            let want = batch.min(TOTAL - sent);
-            let mut done = 0usize;
-            while done < want {
-                done += q
-                    .produce(|qq| {
-                        let n = qq.push_slice(&batch_units[..want - done]);
-                        if n > 0 {
-                            qq.flush();
-                        }
-                        (n > 0).then_some(n)
-                    })
-                    .expect("push");
-            }
-            sent += want;
-        }
-        q.close(Side::Producer);
-    });
-    start.elapsed().as_secs_f64()
-}
-
-/// Times one lock-free-transport ping-pong round.
-fn lock_free_ping_pong(batch: usize) -> f64 {
-    let (mut p, mut c, _stats) = spsc_pair(spec(), STALL);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        scope.spawn(move || {
-            let mut got = 0usize;
-            let mut sink: Vec<Unit> = Vec::with_capacity(batch);
-            while got < TOTAL {
-                got += c
-                    .consume(|qq| {
-                        sink.clear();
-                        let n = qq.pop_slice(&mut sink, batch);
-                        (n > 0).then_some(n)
-                    })
-                    .expect("pop");
-            }
-        });
-        let batch_units: Vec<Unit> = (0..batch as u32).map(Unit::Item).collect();
-        let mut sent = 0usize;
-        while sent < TOTAL {
-            let want = batch.min(TOTAL - sent);
-            let mut done = 0usize;
-            while done < want {
-                done += p
-                    .produce(|qq| {
-                        let n = qq.push_slice(&batch_units[..want - done]);
-                        if n > 0 {
-                            qq.flush();
-                        }
-                        (n > 0).then_some(n)
-                    })
-                    .expect("push");
-            }
-            sent += want;
-        }
-        p.close();
-    });
-    start.elapsed().as_secs_f64()
-}
-
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     samples[samples.len() / 2]
 }
 
-struct Outcome {
-    name: &'static str,
-    mutex_ms: f64,
-    lock_free_ms: f64,
-    tolerance: f64,
-    enforced: bool,
-}
-
 fn main() {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let multicore = cores >= 2;
-
-    // (name, mutex round, lock-free round, tolerance, enforced)
     type Round = Box<dyn FnMut() -> f64>;
-    let mut scenarios: Vec<(&'static str, Round, Round, f64, bool)> = vec![
-        (
-            "uncontended items",
-            Box::new(mutex_items),
-            Box::new(lock_free_items),
-            UNCONTENDED_TOL,
-            true,
-        ),
-        (
-            "uncontended slices",
-            Box::new(mutex_slices),
-            Box::new(lock_free_slices),
-            UNCONTENDED_TOL,
-            true,
-        ),
-        (
-            "ping-pong batch=1",
-            Box::new(|| mutex_ping_pong(1)),
-            Box::new(|| lock_free_ping_pong(1)),
-            CONTENDED_TOL,
-            multicore,
-        ),
-        (
-            "ping-pong batch=64",
-            Box::new(|| mutex_ping_pong(64)),
-            Box::new(|| lock_free_ping_pong(64)),
-            CONTENDED_TOL,
-            multicore,
-        ),
+    let mut scenarios: Vec<(&'static str, Round)> = vec![
+        ("uncontended items", Box::new(items)),
+        ("uncontended slices", Box::new(slices)),
     ];
 
     // Warm-up: touch every code path once before measuring.
-    for (_, m, l, _, _) in &mut scenarios {
-        let _ = m();
-        let _ = l();
+    for (_, round) in &mut scenarios {
+        let _ = round();
     }
 
-    let mut outcomes: Vec<Outcome> = Vec::new();
-    for (name, m, l, tolerance, enforced) in &mut scenarios {
-        // Interleave transports so drift (thermal, cache) hits both alike.
-        let mut mutex_samples = Vec::with_capacity(ROUNDS);
-        let mut lf_samples = Vec::with_capacity(ROUNDS);
-        for _ in 0..ROUNDS {
-            mutex_samples.push(m());
-            lf_samples.push(l());
+    // Interleave scenarios so drift (thermal, cache) hits all alike.
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(ROUNDS); scenarios.len()];
+    for _ in 0..ROUNDS {
+        for ((_, round), s) in scenarios.iter_mut().zip(&mut samples) {
+            s.push(round());
         }
-        outcomes.push(Outcome {
-            name,
-            mutex_ms: median(&mut mutex_samples) * 1e3,
-            lock_free_ms: median(&mut lf_samples) * 1e3,
-            tolerance: *tolerance,
-            enforced: *enforced,
-        });
     }
+    let medians_ms: Vec<f64> = samples.iter_mut().map(|s| median(s) * 1e3).collect();
 
-    println!("queue hot path ({TOTAL} units/round, cap {CAP}, {ROUNDS} rounds, {cores} core(s)):");
-    let mut failures = Vec::new();
-    for o in &outcomes {
-        let ratio = o.lock_free_ms / o.mutex_ms.max(1e-9);
-        println!(
-            "  {:<20} mutex {:>8.3} ms  lock-free {:>8.3} ms  ratio {ratio:.2} \
-             (gate <= {:.2}{})",
-            o.name,
-            o.mutex_ms,
-            o.lock_free_ms,
-            o.tolerance,
-            if o.enforced { "" } else { ", not enforced" },
-        );
-        if o.enforced && ratio > o.tolerance {
-            failures.push(format!(
-                "{}: lock-free median {:.3} ms exceeds mutex median {:.3} ms \
-                 by more than {:.0}%",
-                o.name,
-                o.lock_free_ms,
-                o.mutex_ms,
-                (o.tolerance - 1.0) * 100.0
-            ));
-        }
+    println!("queue hot path ({TOTAL} units/round, cap {CAP}, {ROUNDS} rounds):");
+    for ((name, _), ms) in scenarios.iter().zip(&medians_ms) {
+        println!("  {name:<20} {ms:>8.3} ms");
     }
-    // Zero-copy gate: compare the lock-free slice path against the
-    // lock-free per-item path from the same run (both already measured
-    // above, so drift hits numerator and denominator alike).
-    let lf_ms = |name: &str| {
-        outcomes
-            .iter()
-            .find(|o| o.name == name)
-            .expect("scenario measured")
-            .lock_free_ms
-    };
-    let zero_copy_speedup = lf_ms("uncontended items") / lf_ms("uncontended slices").max(1e-9);
+    // Zero-copy gate: both sides measured in the same interleaved rounds.
+    let zero_copy_speedup = medians_ms[0] / medians_ms[1].max(1e-9);
     println!(
         "  {:<20} per-item / slice-64 speedup {zero_copy_speedup:.2}x (gate >= {ZERO_COPY_FLOOR:.1}x)",
         "zero-copy batch-64",
     );
     if zero_copy_speedup < ZERO_COPY_FLOOR {
-        failures.push(format!(
-            "zero-copy batch-64: slice path is only {zero_copy_speedup:.2}x faster than \
-             per-item calls on the lock-free transport (floor {ZERO_COPY_FLOOR:.1}x)"
-        ));
-    }
-
-    if !multicore {
-        println!(
-            "\n==================================================================\n\
-             CONTENDED GATE SKIPPED: host has {cores} core(s); ping-pong ratios\n\
-             above measure time-slicing, not queue contention, and are NOT\n\
-             enforced on this host.\n\
-             =================================================================="
-        );
-    }
-
-    if failures.is_empty() {
-        println!("\nqueue hot path: OK (lock-free within tolerance of the mutex baseline)");
-    } else {
         println!("\n================ QUEUE-HOT-PATH FAIL ================");
-        for f in &failures {
-            println!("{f}");
-        }
         println!(
-            "The lock-free transport has regressed past the mutex baseline.\n\
-             ====================================================="
+            "zero-copy batch-64: slice path is only {zero_copy_speedup:.2}x faster than \
+             per-item calls (floor {ZERO_COPY_FLOOR:.1}x)"
         );
+        println!("=====================================================");
         std::process::exit(1);
     }
+    println!("\nqueue hot path: OK (zero-copy slices above the floor)");
 }

@@ -1,19 +1,18 @@
-//! Host-concurrency throughput bench: deterministic executor vs. the
-//! threaded executor's per-item, batched, and lock-free transports.
+//! Host-concurrency throughput bench: the deterministic executor vs. the
+//! threaded executor on its lock-free SPSC rings.
 //!
 //! ```text
 //! parallel_throughput [--quick] [--check] [--out PATH]
 //! ```
 //!
 //! Runs synthetic pipelines at 2/4/8 stages (= threads) plus the full app
-//! suite, measures wall time for each executor, cross-checks that all
-//! four produce identical sink output, and writes `BENCH_parallel.json`
+//! suite, measures wall time for both executors, cross-checks that they
+//! produce identical sink output, and writes `BENCH_parallel.json`
 //! (items/sec, wall times, speedups, per-run effective core counts).
-//! `--check` exits nonzero when the batched transport fails its speedup
-//! floor against per-item locking, or — on hosts with enough cores to
-//! actually run the guarded 4-stage pipeline in parallel — when the
-//! lock-free transport fails its ≥2×-deterministic gate. On narrower
-//! hosts that multicore gate is skipped with a loud log (the numbers
+//! `--check` exits nonzero when — on hosts with enough cores to actually
+//! run the guarded 4-stage pipeline in parallel — the threaded executor
+//! fails its ≥2×-deterministic gate or the paced SLO gate fails. On
+//! narrower hosts both gates are skipped with a loud log (the numbers
 //! would only measure context-switch overhead), and the skip is recorded
 //! in the JSON so archived reports can't masquerade as passes.
 //! `--quick` shrinks inputs for CI smoke runs.
@@ -29,14 +28,12 @@ use cg_apps::mp3::Mp3App;
 use cg_apps::vocoder::VocoderApp;
 use cg_campaign::json::Json;
 use cg_fault::{FaultClass, Mtbe};
-use cg_runtime::{
-    run, run_parallel_with, Pacing, ParTransport, Program, RunReport, SimConfig, TelemetryConfig,
-};
+use cg_runtime::{run, run_parallel, Pacing, Program, RunReport, SimConfig, TelemetryConfig};
 use commguard::graph::{GraphBuilder, NodeId, NodeKind};
 use commguard::Protection;
 
-/// Units per firing on every pipeline hop: large enough that the batched
-/// transport has real batches to amortize.
+/// Units per firing on every pipeline hop: large enough that the ring
+/// moves real batches per call.
 const PIPELINE_RATE: u32 = 64;
 
 /// The acceptance case for the multicore gate: the guarded 4-stage
@@ -259,62 +256,39 @@ fn main() -> ExitCode {
         let effective_cores = threads.min(host_parallelism.max(1));
 
         let (det_time, det) = time_best(repeats, || run((case.build)().0, &cfg).expect("run"));
-        let (pi_time, pi) = time_best(repeats, || {
-            run_parallel_with((case.build)().0, &cfg, ParTransport::PerItem).expect("per-item run")
-        });
-        let (ba_time, ba) = time_best(repeats, || {
-            run_parallel_with((case.build)().0, &cfg, ParTransport::Batched).expect("batched run")
-        });
         let (lf_time, lf) = time_best(repeats, || {
-            run_parallel_with((case.build)().0, &cfg, ParTransport::LockFree)
-                .expect("lock-free run")
+            run_parallel((case.build)().0, &cfg).expect("lock-free run")
         });
 
-        // The numbers only mean something if all four executors computed
-        // the same stream.
-        assert_eq!(
-            ba.sink_output(sink),
-            det.sink_output(sink),
-            "{name}: batched output diverged from deterministic"
-        );
-        assert_eq!(
-            pi.sink_output(sink),
-            ba.sink_output(sink),
-            "{name}: per-item output diverged from batched"
-        );
+        // The numbers only mean something if both executors computed the
+        // same stream.
         assert_eq!(
             lf.sink_output(sink),
-            ba.sink_output(sink),
-            "{name}: lock-free output diverged from batched"
+            det.sink_output(sink),
+            "{name}: lock-free output diverged from deterministic"
         );
 
-        // Untimed telemetry pass on the lock-free transport: frame-latency
+        // Untimed telemetry pass on the threaded executor: frame-latency
         // percentiles for the bench trajectory. A separate run so the
         // probes can never skew the timed numbers above.
         let telem_cfg = SimConfig {
             telemetry: TelemetryConfig::enabled(),
             ..cfg.clone()
         };
-        let latency = run_parallel_with((case.build)().0, &telem_cfg, ParTransport::LockFree)
+        let latency = run_parallel((case.build)().0, &telem_cfg)
             .expect("telemetry run")
             .telemetry
             .expect("telemetry was enabled")
             .merged_latency();
 
-        let items = ba.queues.item_pushes;
+        let items = lf.queues.item_pushes;
         let frames_f = (case.frames as f64).max(1.0);
-        let vs_per_item = ms(pi_time) / ms(ba_time).max(1e-9);
-        let vs_det = ms(det_time) / ms(ba_time).max(1e-9);
-        let lf_vs_batched = ms(ba_time) / ms(lf_time).max(1e-9);
         let lf_vs_det = ms(det_time) / ms(lf_time).max(1e-9);
         eprintln!(
             "{name:<22} threads={threads} cores={effective_cores} frames={} det={:.1}ms \
-             per-item={:.1}ms batched={:.1}ms lock-free={:.1}ms \
-             lock-free-vs-det={lf_vs_det:.2}x",
+             lock-free={:.1}ms lock-free-vs-det={lf_vs_det:.2}x",
             case.frames,
             ms(det_time),
-            ms(pi_time),
-            ms(ba_time),
             ms(lf_time),
         );
 
@@ -327,46 +301,22 @@ fn main() -> ExitCode {
             .set("frames", case.frames)
             .set("items_moved", items)
             .set("deterministic_ms", ms(det_time))
-            .set("per_item_ms", ms(pi_time))
-            .set("batched_ms", ms(ba_time))
             .set("lock_free_ms", ms(lf_time))
             // Per-frame wall-clock: comparable across cases (apps and
             // pipelines run different frame counts), so the bench
             // trajectory gets app-level datapoints, not just totals.
             .set("deterministic_ms_per_frame", ms(det_time) / frames_f)
-            .set("per_item_ms_per_frame", ms(pi_time) / frames_f)
-            .set("batched_ms_per_frame", ms(ba_time) / frames_f)
             .set("lock_free_ms_per_frame", ms(lf_time) / frames_f)
             .set("frame_latency_p50_us", latency.quantile(0.50))
             .set("frame_latency_p90_us", latency.quantile(0.90))
             .set("frame_latency_p99_us", latency.quantile(0.99))
             .set("frame_latency_max_us", latency.max())
-            .set("per_item_items_per_sec", items_per_sec(items, pi_time))
-            .set("batched_items_per_sec", items_per_sec(items, ba_time))
             .set("lock_free_items_per_sec", items_per_sec(items, lf_time))
-            .set("speedup_batched_vs_per_item", vs_per_item)
-            .set("speedup_batched_vs_deterministic", vs_det)
-            .set(
-                "speedup_per_item_vs_deterministic",
-                ms(det_time) / ms(pi_time).max(1e-9),
-            )
-            .set("speedup_lock_free_vs_batched", lf_vs_batched)
             .set("speedup_lock_free_vs_deterministic", lf_vs_det);
         runs.push(j);
 
-        // Speedup floors, enforced under --check: the unguarded 4-stage
-        // pipeline is the acceptance case (>= 2x); every transport-bound
-        // pipeline must at least not regress.
-        if case.kind == "pipeline" {
-            let floor = if case.name == "pipeline-4" { 2.0 } else { 1.0 };
-            if vs_per_item < floor {
-                failures.push(format!(
-                    "{name}: batched-vs-per-item speedup {vs_per_item:.2}x < {floor:.1}x floor"
-                ));
-            }
-        }
         // The multicore acceptance gate: guarded pipeline-4 on the
-        // lock-free transport must beat the deterministic executor ≥2× —
+        // threaded executor must beat the deterministic executor ≥2× —
         // but only where the host can schedule all its threads at once.
         if case.name == MULTICORE_GATE_CASE {
             gate = Json::object();
@@ -411,9 +361,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // The paced SLO gate runs once, on the lock-free transport only: it
-    // measures deadline discipline under faults, not throughput, so the
-    // timed matrix above stays untouched.
+    // The paced SLO gate runs once: it measures deadline discipline under
+    // faults, not throughput, so the timed matrix above stays untouched.
     let paced_frames: u64 = if args.quick { 200 } else { 1_000 };
     let paced_case = pipeline_case(4, paced_frames, true);
     let paced_threads = (paced_case.build)().0.graph().node_count();
@@ -442,8 +391,7 @@ fn main() -> ExitCode {
             slo: PACED_GATE_DEADLINE_US,
         });
         let (paced_prog, paced_sink) = (paced_case.build)();
-        let report =
-            run_parallel_with(paced_prog, &cfg, ParTransport::LockFree).expect("paced gate run");
+        let report = run_parallel(paced_prog, &cfg).expect("paced gate run");
         let pace = report.pacing.as_ref().expect("paced run reports pacing");
         let frame_exact =
             report.sink_output(paced_sink).len() as u64 == paced_frames * u64::from(PIPELINE_RATE);
@@ -492,7 +440,7 @@ fn main() -> ExitCode {
     }
 
     let mut doc = Json::object();
-    doc.set("schema", "commguard-parallel-bench-v5")
+    doc.set("schema", "commguard-parallel-bench-v6")
         .set("mode", if args.quick { "quick" } else { "full" })
         // v4: ECC runs the table-driven batch codec and the queues move
         // slices through the zero-copy reserve/commit path; the multicore
@@ -500,6 +448,9 @@ fn main() -> ExitCode {
         // v5: adds the paced_slo_gate object (deadline discipline under
         // burst faults); its counters are absent when its status is a
         // skip.
+        // v6: the mutex transports are gone, and with them the per-item
+        // and batched columns; runs time the deterministic and lock-free
+        // executors only.
         .set("ecc_mode", "batch-tabled")
         .set("transport_mode", "zero-copy-slices")
         .set("repeats", repeats)

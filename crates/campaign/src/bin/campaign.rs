@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! campaign [--quick] [--seeds N] [--frames N] [--threads N]
-//!          [--executor det|threaded] [--transport per-item|batched|lock-free]
+//!          [--executor det|threaded]
 //!          [--classes a,b,..] [--mtbe n1,n2,..]
 //!          [--paced] [--period N] [--deadline N] [--slo N]
 //!          [--out PATH] [--trace] [--trace-dir DIR]
@@ -29,13 +29,12 @@ use cg_campaign::{
     DeadlineSweepSpec, ExecutorKind, Outcome,
 };
 use cg_fault::{FaultClass, Mtbe};
-use cg_runtime::{Pacing, ParTransport};
+use cg_runtime::Pacing;
 
 fn usage() -> ! {
     eprintln!(
         "usage: campaign [--quick] [--seeds N] [--frames N] [--threads N]\n\
          \x20               [--executor det|threaded]\n\
-         \x20               [--transport per-item|batched|lock-free]\n\
          \x20               [--classes a,b,..]\n\
          \x20               [--mtbe n1,n2,..] [--out PATH]\n\
          \x20               [--paced] [--period N] [--deadline N] [--slo N]\n\
@@ -50,9 +49,6 @@ fn usage() -> ! {
          executor:  det = deterministic round-robin simulator (default);\n\
          \x20          threaded = one OS thread per node with fault injection\n\
          \x20          and frame-level checkpoint/re-execute recovery\n\
-         transport: threaded executor's inter-worker queues: lock-free SPSC\n\
-         \x20          rings (default), or the mutex/condvar batched /\n\
-         \x20          per-item baselines\n\
          classes:   baseline burst stuck-at pointer header (default: all)\n\
          mtbe:      mean instructions between errors (default: 256,2048,16384)\n\
          out:       JSON report path (default: campaign_report.json)\n\
@@ -170,13 +166,6 @@ fn parse_args() -> Args {
             "--executor" => {
                 spec.executor = ExecutorKind::parse(&value(&mut i)).unwrap_or_else(|e| {
                     eprintln!("{e}");
-                    usage()
-                });
-            }
-            "--transport" => {
-                let v = value(&mut i);
-                spec.transport = ParTransport::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown transport '{v}' (expected per-item, batched or lock-free)");
                     usage()
                 });
             }
@@ -340,7 +329,6 @@ fn fuzz_spec(args: &Args) -> FuzzSpec {
             base.frames
         },
         executor: args.spec.executor,
-        transport: args.spec.transport,
         classes: args.spec.classes.clone(),
         mtbe: args
             .spec
@@ -383,7 +371,6 @@ fn to_json(report: &CampaignReport) -> Json {
         .set("queue_capacity", spec.queue_capacity)
         .set("max_rounds", spec.max_rounds)
         .set("executor", spec.executor.label())
-        .set("transport", spec.transport.label())
         .set(
             "trace_dir",
             spec.trace_dir.as_deref().map_or(Json::Null, Json::from),
@@ -640,14 +627,6 @@ fn fuzz_to_json(report: &FuzzReport) -> Json {
         .set("seed", spec.seed)
         .set("frames", spec.frames)
         .set("executor", spec.executor.label())
-        .set("transport", spec.transport.label())
-        .set(
-            "parity_transports",
-            spec.parity_transports
-                .iter()
-                .map(|t| Json::from(t.label()))
-                .collect::<Vec<_>>(),
-        )
         .set(
             "classes",
             spec.classes
@@ -706,12 +685,11 @@ fn run_fuzz_mode(args: &Args) -> ExitCode {
     let spec = fuzz_spec(args);
     eprintln!(
         "campaign: fuzz mode — {} random graphs from seed {}, {} checks each \
-         ({} executor, {} transport, {} frames)",
+         ({} executor, {} frames)",
         spec.count,
         spec.seed,
         spec.checks_per_graph(),
         spec.executor.label(),
-        spec.transport.label(),
         spec.frames
     );
     let report = fuzz::run_fuzz(&spec);
@@ -989,18 +967,13 @@ fn main() -> ExitCode {
         return run_sweep_mode(&args);
     }
     eprintln!(
-        "campaign: {} classes x {} mtbes x {} protections x {} seeds = {} runs ({} executor{}{})",
+        "campaign: {} classes x {} mtbes x {} protections x {} seeds = {} runs ({} executor{})",
         args.spec.classes.len(),
         args.spec.mtbes.len(),
         args.spec.protections.len(),
         args.spec.seeds,
         args.spec.total_runs(),
         args.spec.executor.label(),
-        if args.spec.executor == ExecutorKind::Threaded {
-            format!(", {} transport", args.spec.transport.label())
-        } else {
-            String::new()
-        },
         match args.spec.pacing {
             Some(Pacing::Paced {
                 period, deadline, ..

@@ -12,7 +12,7 @@ use std::time::Duration;
 use cg_fault::{FaultClass, Mtbe};
 use cg_graph::random::{generate, EdgeSpec, GenConfig, GraphSpec, NodeSpec};
 use cg_graph::{NodeId, NodeKind};
-use cg_runtime::{run, run_parallel_with, ParTransport, Program, SimConfig};
+use cg_runtime::{run, run_parallel, Program, SimConfig};
 use commguard::Protection;
 
 use crate::json::Json;
@@ -89,8 +89,6 @@ pub struct ReproCase {
     /// Executor for the [`Oracle::Faulted`] run ([`Oracle::Parity`]
     /// always runs both; [`Oracle::Golden`] is deterministic-only).
     pub executor: ExecutorKind,
-    /// Threaded transport under test.
-    pub transport: ParTransport,
     /// Fault class for [`Oracle::Faulted`].
     pub class: FaultClass,
     /// Mean instructions between errors for [`Oracle::Faulted`].
@@ -212,14 +210,9 @@ impl ReproCase {
             Ok(r) => r,
             Err(e) => return Ok(vec![format!("guarded deterministic run errored: {e}")]),
         };
-        let threaded = match run_parallel_with(bind_program(&self.spec)?, &cfg, self.transport) {
+        let threaded = match run_parallel(bind_program(&self.spec)?, &cfg) {
             Ok(r) => r,
-            Err(e) => {
-                return Ok(vec![format!(
-                    "error-free threaded run ({}) errored: {e}",
-                    self.transport.label()
-                )])
-            }
+            Err(e) => return Ok(vec![format!("error-free threaded run errored: {e}")]),
         };
         let mut violations = Vec::new();
         if !det.completed || !threaded.completed {
@@ -228,9 +221,7 @@ impl ReproCase {
         for (id, name, _) in sinks {
             if det.sink_output(*id) != threaded.sink_output(*id) {
                 violations.push(format!(
-                    "sink '{name}' diverges between executors ({} transport): det {} items, \
-                     threaded {}",
-                    self.transport.label(),
+                    "sink '{name}' diverges between executors: det {} items, threaded {}",
                     det.sink_output(*id).len(),
                     threaded.sink_output(*id).len()
                 ));
@@ -288,16 +279,14 @@ impl ReproCase {
                 }
             }
             ExecutorKind::Threaded => {
-                let report =
-                    match run_parallel_with(bind_program(&self.spec)?, &guarded, self.transport) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            return Ok(vec![format!(
-                                "guarded threaded run ({}) errored instead of recovering: {e}",
-                                self.transport.label()
-                            )])
-                        }
-                    };
+                let report = match run_parallel(bind_program(&self.spec)?, &guarded) {
+                    Ok(r) => r,
+                    Err(e) => {
+                        return Ok(vec![format!(
+                            "guarded threaded run errored instead of recovering: {e}"
+                        )])
+                    }
+                };
                 if !report.completed {
                     violations.push("guarded threaded run did not complete".to_string());
                 }
@@ -705,7 +694,6 @@ pub fn case_to_json(case: &ReproCase, verdict: &str, violations: &[String]) -> J
         .set("verdict", verdict)
         .set("oracle", case.oracle.label())
         .set("executor", case.executor.label())
-        .set("transport", case.transport.label())
         .set("fault_class", case.class.label())
         .set("mtbe_instructions", case.mtbe)
         .set("seed", case.seed)
@@ -774,7 +762,6 @@ pub fn case_from_json(doc: &Json) -> Result<(ReproCase, String), String> {
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let transport_label = str_field(doc, "transport")?;
     let case = ReproCase {
         spec: GraphSpec {
             name: str_field(graph, "name")?,
@@ -786,8 +773,6 @@ pub fn case_from_json(doc: &Json) -> Result<(ReproCase, String), String> {
         frames: u64_field(doc, "frames")?,
         queue_capacity: u64_field(doc, "queue_capacity")? as usize,
         executor: ExecutorKind::parse(&str_field(doc, "executor")?)?,
-        transport: ParTransport::parse(&transport_label)
-            .ok_or_else(|| format!("unknown transport `{transport_label}`"))?,
         class: FaultClass::parse(&str_field(doc, "fault_class")?)?,
         mtbe: u64_field(doc, "mtbe_instructions")?,
     };
@@ -866,10 +851,6 @@ pub struct FuzzSpec {
     pub frames: u64,
     /// Executor for the faulted oracle (parity always runs both).
     pub executor: ExecutorKind,
-    /// Transport for faulted threaded runs.
-    pub transport: ParTransport,
-    /// Transports swept by the parity oracle.
-    pub parity_transports: Vec<ParTransport>,
     /// Fault classes swept by the faulted oracle.
     pub classes: Vec<FaultClass>,
     /// Mean instructions between errors for faulted runs.
@@ -889,12 +870,6 @@ impl Default for FuzzSpec {
             seed: 1,
             frames: 8,
             executor: ExecutorKind::Deterministic,
-            transport: ParTransport::LockFree,
-            parity_transports: vec![
-                ParTransport::PerItem,
-                ParTransport::Batched,
-                ParTransport::LockFree,
-            ],
             classes: FaultClass::all().to_vec(),
             mtbe: 256,
             threads: 0,
@@ -907,7 +882,7 @@ impl Default for FuzzSpec {
 impl FuzzSpec {
     /// Checks run per generated graph.
     pub fn checks_per_graph(&self) -> usize {
-        1 + self.parity_transports.len() + self.classes.len()
+        2 + self.classes.len()
     }
 }
 
@@ -1011,18 +986,16 @@ fn run_case(spec: &FuzzSpec, index: u64) -> FuzzCaseReport {
         frames: spec.frames,
         queue_capacity,
         executor: spec.executor,
-        transport: spec.transport,
         class: FaultClass::Baseline,
         mtbe: spec.mtbe,
     };
-    let mut cases = vec![base.clone()];
-    for &transport in &spec.parity_transports {
-        cases.push(ReproCase {
+    let mut cases = vec![
+        base.clone(),
+        ReproCase {
             oracle: Oracle::Parity,
-            transport,
             ..base.clone()
-        });
-    }
+        },
+    ];
     for &class in &spec.classes {
         cases.push(ReproCase {
             oracle: Oracle::Faulted,
@@ -1111,7 +1084,6 @@ mod tests {
         FuzzSpec {
             count: 4,
             frames: 4,
-            parity_transports: vec![ParTransport::LockFree],
             classes: vec![FaultClass::Baseline, FaultClass::HeaderCorruption],
             repro_dir: None,
             ..FuzzSpec::default()
@@ -1143,7 +1115,6 @@ mod tests {
             frames: 5,
             queue_capacity: 64,
             executor: ExecutorKind::Threaded,
-            transport: ParTransport::Batched,
             class: FaultClass::PointerCorruption,
             mtbe: 2048,
         };
@@ -1152,6 +1123,11 @@ mod tests {
         let (back, verdict) = case_from_json(&parsed).expect("artifact decodes");
         assert_eq!(back, case);
         assert_eq!(verdict, "fail");
+        // Artifacts that still carry the retired `transport` key replay.
+        let mut legacy = doc.clone();
+        legacy.set("transport", "batched");
+        let (back, _) = case_from_json(&legacy).expect("legacy artifact decodes");
+        assert_eq!(back, case);
     }
 
     #[test]
@@ -1165,7 +1141,6 @@ mod tests {
             frames: 3,
             queue_capacity: 4096,
             executor: ExecutorKind::Deterministic,
-            transport: ParTransport::LockFree,
             class: FaultClass::Baseline,
             mtbe: 256,
         };
@@ -1207,7 +1182,6 @@ mod tests {
             frames: 6,
             queue_capacity: 8,
             executor: ExecutorKind::Deterministic,
-            transport: ParTransport::LockFree,
             class: FaultClass::Baseline,
             mtbe: 256,
         }

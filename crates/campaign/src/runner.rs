@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use cg_runtime::{
-    run, run_parallel_with, PacingReport, Program, RunReport, SimConfig, WatchdogStats,
-};
+use cg_runtime::{run, run_parallel, PacingReport, Program, RunReport, SimConfig, WatchdogStats};
 use cg_telemetry::{to_jsonl, to_prometheus, TelemetryConfig, TelemetryReport};
 use cg_trace::{analyze, text, to_chrome_json, TraceConfig};
 use commguard::graph::{GraphBuilder, NodeId, NodeKind, StreamGraph};
@@ -470,7 +468,7 @@ fn run_cell_threaded(spec: &CampaignSpec, cell: RunCell, expected: &[u32]) -> Ru
     // operation times out and every frame either retries within budget or
     // degrades, so `run_parallel` returning at all proves termination. An
     // `Err` (a worker died) is a liveness failure, classified as a hang.
-    let report = match run_parallel_with(p, &cfg, spec.transport) {
+    let report = match run_parallel(p, &cfg) {
         Ok(r) => r,
         Err(e) => {
             let mut violations = Vec::new();
@@ -823,24 +821,6 @@ mod tests {
             assert_eq!(pace.frames_observed(), spec.frames, "{:?}", r.cell);
             assert_eq!(pace.unit, "us");
         }
-    }
-
-    #[test]
-    fn threaded_campaign_accepts_baseline_transports() {
-        use cg_runtime::ParTransport;
-        let spec = CampaignSpec {
-            executor: ExecutorKind::Threaded,
-            transport: ParTransport::Batched,
-            classes: vec![FaultClass::Burst],
-            mtbes: vec![cg_fault::Mtbe::instructions(256)],
-            protections: vec![Protection::commguard()],
-            seeds: 2,
-            frames: 8,
-            ..CampaignSpec::default()
-        };
-        let report = run_campaign(&spec);
-        assert!(report.violations().is_empty());
-        assert_eq!(report.spec.transport, ParTransport::Batched);
     }
 
     #[test]

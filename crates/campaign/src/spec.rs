@@ -1,7 +1,7 @@
 //! Campaign specification: the sweep's axes and per-run parameters.
 
 use cg_fault::{FaultClass, Mtbe};
-use cg_runtime::{Pacing, ParTransport};
+use cg_runtime::Pacing;
 use commguard::Protection;
 
 /// Which executor runs the sweep's cells.
@@ -83,11 +83,6 @@ pub struct CampaignSpec {
     /// classes, so its invariants additionally bound retries and require
     /// header conservation against a fault-free golden run.
     pub executor: ExecutorKind,
-    /// Inter-worker transport for threaded cells (ignored by the
-    /// deterministic executor): the lock-free SPSC rings by default, or
-    /// the mutex/condvar baselines for comparison sweeps. Recorded in
-    /// the report so archived JSON identifies what actually ran.
-    pub transport: ParTransport,
     /// When set, runs are traced (ring buffer) and violating, mismatching
     /// or hanging runs dump their trace + propagation summary into this
     /// directory. `None` (the default) keeps the zero-cost untraced path.
@@ -131,7 +126,6 @@ impl Default for CampaignSpec {
             max_rounds: 4_000_000,
             threads: 0,
             executor: ExecutorKind::default(),
-            transport: ParTransport::default(),
             trace_dir: None,
             telemetry_dir: None,
             pacing: None,
@@ -220,11 +214,6 @@ mod tests {
         assert_eq!(ExecutorKind::parse("par"), Ok(ExecutorKind::Threaded));
         assert!(ExecutorKind::parse("gpu").is_err());
         assert_eq!(ExecutorKind::Threaded.label(), "threaded");
-    }
-
-    #[test]
-    fn default_transport_is_lock_free() {
-        assert_eq!(CampaignSpec::default().transport, ParTransport::LockFree);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use cg_campaign::ExecutorKind;
 use cg_fault::FaultClass;
 use cg_graph::random::{generate, GenConfig};
 use cg_graph::NodeKind;
-use cg_runtime::ParTransport;
 
 fn corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_corpus")
@@ -27,7 +26,6 @@ fn golden_case(seed: u64, gen: &GenConfig) -> ReproCase {
         frames: 6,
         queue_capacity: profile.queue_demand.max(8) as usize,
         executor: ExecutorKind::Deterministic,
-        transport: ParTransport::LockFree,
         class: FaultClass::Baseline,
         mtbe: 256,
     }
@@ -189,15 +187,13 @@ fn regenerate_corpus() {
     std::fs::rename(&path, &renamed).expect("rename artifact");
     println!("wrote {} (fail)", renamed.display());
 
-    // 6. Tight (near-full) capacity under the batched-transport parity
-    //    oracle: capacity exactly equals the hottest edge's demand.
-    let base = golden_case(53, &GenConfig::default());
+    // 6. Tight (near-full) capacity under the parity oracle: capacity
+    //    exactly equals the hottest edge's demand.
     let tight = ReproCase {
         oracle: Oracle::Parity,
-        transport: ParTransport::Batched,
-        ..base
+        ..golden_case(53, &GenConfig::default())
     };
-    record("06_tight_capacity_parity_batched.json", &tight);
+    record("06_tight_capacity_parity.json", &tight);
 
     // Every artifact must round-trip through the replay path.
     for name in [
@@ -206,7 +202,7 @@ fn regenerate_corpus() {
         "03_skewed_rates_faulted_det.json",
         "04_threaded_pointer_faulted.json",
         "05_capacity_starved_fail.json",
-        "06_tight_capacity_parity_batched.json",
+        "06_tight_capacity_parity.json",
     ] {
         let replay = fuzz::replay_file(dir.join(name).to_str().unwrap()).expect("replayable");
         assert!(replay.matched, "{name}: fresh verdict {}", replay.verdict);

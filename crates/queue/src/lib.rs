@@ -19,15 +19,12 @@
 //!   accounting, and fault-injection hooks for pointer corruption;
 //! * [`QueueStats`] — the load/store/header/workset counters behind the
 //!   paper's Fig. 12 memory-event overheads;
-//! * [`SharedQueue`] — a mutex/condvar blocking SPSC wrapper (retained as
-//!   the threaded executor's baseline transport): condvar parking on
-//!   empty/full, closable endpoints so a dead peer is an error instead of
-//!   a hang, and a stall-timeout backstop;
-//! * [`spsc_pair`] / [`SpscProducer`] / [`SpscConsumer`] — the lock-free
-//!   SPSC transport: the same queue protocol over atomic slot storage and
-//!   cache-line-padded atomic shared pointers, with spin-then-park
-//!   blocking and the same close/stall semantics, but no lock anywhere on
-//!   the steady-state push/pop path.
+//! * [`spsc_pair`] / [`SpscProducer`] / [`SpscConsumer`] — the threaded
+//!   executor's transport: the same queue protocol over atomic slot
+//!   storage and cache-line-padded atomic shared pointers, with
+//!   spin-then-park blocking, closable endpoints so a dead peer is an
+//!   error ([`WaitError`]) instead of a hang, a stall-timeout backstop,
+//!   and no lock anywhere on the steady-state push/pop path.
 //!
 //! ```
 //! use cg_queue::{QueueSpec, SimQueue, Unit};
@@ -41,16 +38,14 @@
 
 mod ptr;
 mod ring;
-mod shared;
 mod spsc;
 mod stats;
 mod unit;
 
 pub use ptr::{PointerMode, PtrCell, Which};
 pub use ring::{PushError, QueueSpec, SimQueue};
-pub use shared::{SharedQueue, Side, WaitError};
 pub use spsc::{
-    spsc_pair, spsc_pair_with, SpscConsumer, SpscProducer, SpscStats, DEFAULT_PARK_SLICE,
+    spsc_pair, spsc_pair_with, SpscConsumer, SpscProducer, SpscStats, WaitError, DEFAULT_PARK_SLICE,
 };
 pub use stats::QueueStats;
 pub use unit::{FrameId, Unit, END_FRAME_ID};

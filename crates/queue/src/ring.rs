@@ -68,8 +68,8 @@ impl std::fmt::Display for PushError {
 impl std::error::Error for PushError {}
 
 /// Slot storage: a plain vector when one owner holds the whole queue (the
-/// deterministic executor, or a mutex-guarded [`crate::SharedQueue`]), or
-/// an atomic array shared by a lock-free producer/consumer view pair.
+/// deterministic executor), or an atomic array shared by a lock-free
+/// producer/consumer view pair.
 #[derive(Clone)]
 enum Slots {
     Local(Vec<Unit>),
@@ -316,12 +316,6 @@ impl SimQueue {
     /// Accumulated statistics.
     pub fn stats(&self) -> &QueueStats {
         &self.stats
-    }
-
-    /// Mutable statistics access (used by wrappers layering their own
-    /// accounting onto the queue's).
-    pub fn stats_mut(&mut self) -> &mut QueueStats {
-        &mut self.stats
     }
 
     /// Attempts to push `unit`.

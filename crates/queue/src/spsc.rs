@@ -1,11 +1,10 @@
 //! Lock-free SPSC transport for [`SimQueue`]s shared between two threads.
 //!
-//! [`SharedQueue`](crate::SharedQueue) serialises every transfer through a
-//! `Mutex` + two `Condvar`s; this module removes that serialisation. The
-//! ring slots and the shared head/tail pointers move into atomic storage
-//! shared by **two independent [`SimQueue`] views** — one owned by the
-//! producer endpoint, one by the consumer — so the steady-state push/pop
-//! path is exactly the paper's §5.1 protocol with no lock anywhere:
+//! The ring slots and the shared head/tail pointers live in atomic
+//! storage shared by **two independent [`SimQueue`] views** — one owned
+//! by the producer endpoint, one by the consumer — so the steady-state
+//! push/pop path is exactly the paper's §5.1 protocol with no lock
+//! anywhere:
 //!
 //! * each side keeps its *exact* cursor in ordinary (reliable, on-core)
 //!   fields of its own view;
@@ -23,14 +22,13 @@
 //!
 //! Blocking is spin-then-park: a bounded burst of `spin_loop` hints and
 //! `yield_now` calls, then `thread::park_timeout` in short slices with
-//! explicit unpark tokens. The [`SharedQueue`](crate::SharedQueue)
-//! semantics the rest of the stack depends on are preserved: endpoints
-//! close on drop (a dead peer is an error, not a hang), a finished
-//! producer leaves the queue drainable, and a stall timeout bounds every
-//! wait. The park/unpark slow path is the *only* place a `Mutex` appears
-//! (a registry of thread handles that is touched strictly after spinning
-//! has failed); see `DESIGN.md` for the memory-ordering and lost-wakeup
-//! argument.
+//! explicit unpark tokens. Endpoints close on drop (a dead peer is a
+//! [`WaitError::PeerClosed`], not a hang), a finished producer leaves the
+//! queue drainable, and a stall timeout bounds every wait
+//! ([`WaitError::TimedOut`]). The park/unpark slow path is the *only*
+//! place a `Mutex` appears (a registry of thread handles that is touched
+//! strictly after spinning has failed); see `DESIGN.md` for the
+//! memory-ordering and lost-wakeup argument.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,13 +36,33 @@ use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use cg_ecc::{decode, encode, Codeword, Decoded, EccStats};
-use cg_trace::Tracer;
 
 use crate::ptr::PointerMode;
 use crate::ring::{QueueSpec, SimQueue};
-use crate::shared::WaitError;
 use crate::stats::QueueStats;
 use crate::unit::Unit;
+
+/// Why a blocking operation gave up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WaitError {
+    /// The opposite endpoint was closed (peer finished or died) while this
+    /// side could not make progress.
+    PeerClosed,
+    /// No progress within the stall timeout, with the peer still open —
+    /// the backstop against silent deadlock.
+    TimedOut,
+}
+
+impl std::fmt::Display for WaitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WaitError::PeerClosed => write!(f, "peer endpoint closed"),
+            WaitError::TimedOut => write!(f, "stalled past the timeout"),
+        }
+    }
+}
+
+impl std::error::Error for WaitError {}
 
 /// Pads and aligns a value to a cache line so the producer's and
 /// consumer's hot atomics never false-share.
@@ -313,9 +331,9 @@ const SPIN_YIELDS: u32 = 4;
 pub const DEFAULT_PARK_SLICE: Duration = Duration::from_millis(1);
 
 /// Retries `f` on `q` until it reports progress, spinning then parking
-/// between attempts; the lock-free analogue of
-/// [`SharedQueue::produce`](crate::SharedQueue::produce)/`consume` with
-/// identical error semantics.
+/// between attempts. Gives up with [`WaitError::PeerClosed`] once the
+/// peer is closed and no progress is possible, or [`WaitError::TimedOut`]
+/// after `stall`.
 fn blocking_op<R>(
     q: &mut SimQueue,
     ctrl: &Ctrl,
@@ -325,11 +343,12 @@ fn blocking_op<R>(
     mut f: impl FnMut(&mut SimQueue) -> Option<R>,
 ) -> Result<R, WaitError> {
     let peer = 1 - me;
+    let publishes = q.stats().shared_ptr_writes;
     let mut deadline: Option<Instant> = None;
     let mut spins = 0u32;
     loop {
         if let Some(r) = f(q) {
-            ctrl.wake(peer);
+            wake_if_published(q, ctrl, peer, publishes);
             return Ok(r);
         }
         // Check liveness only after a no-progress attempt, so a finished
@@ -362,7 +381,7 @@ fn blocking_op<R>(
         ctrl.announce_park(me);
         if let Some(r) = f(q) {
             ctrl.retract_park(me);
-            ctrl.wake(peer);
+            wake_if_published(q, ctrl, peer, publishes);
             return Ok(r);
         }
         if !ctrl.open[peer].load(Ordering::SeqCst) {
@@ -374,6 +393,18 @@ fn blocking_op<R>(
         }
         thread::park_timeout(park_slice.min(dl - now));
         ctrl.retract_park(me);
+    }
+}
+
+/// Wakes `peer` if `q` has published a shared pointer since its count
+/// stood at `publishes`. A parked peer waits for a publish, so progress
+/// that stayed inside this view's working set cannot unblock it, and
+/// waking it anyway costs an unpark only for the peer to park again. No
+/// wakeup is lost: every publish happens inside a blocking call, which
+/// checks here, or inside `with`, which always wakes.
+fn wake_if_published(q: &SimQueue, ctrl: &Ctrl, peer: usize, publishes: u64) {
+    if q.stats().shared_ptr_writes != publishes {
+        ctrl.wake(peer);
     }
 }
 
@@ -464,17 +495,6 @@ impl SpscProducer {
         self.ctrl.wake(CONSUMER);
         r
     }
-
-    /// Closes this endpoint (idempotent; also performed on drop).
-    pub fn close(&self) {
-        self.ctrl.close(PRODUCER);
-    }
-
-    /// Connects this endpoint's view to a trace stream (see
-    /// [`SimQueue::attach_tracer`]).
-    pub fn attach_tracer(&mut self, tracer: Tracer, edge: u32) {
-        self.q.attach_tracer(tracer, edge);
-    }
 }
 
 impl Drop for SpscProducer {
@@ -526,17 +546,6 @@ impl SpscConsumer {
         let r = f(&mut self.q);
         self.ctrl.wake(PRODUCER);
         r
-    }
-
-    /// Closes this endpoint (idempotent; also performed on drop).
-    pub fn close(&self) {
-        self.ctrl.close(CONSUMER);
-    }
-
-    /// Connects this endpoint's view to a trace stream (see
-    /// [`SimQueue::attach_tracer`]).
-    pub fn attach_tracer(&mut self, tracer: Tracer, edge: u32) {
-        self.q.attach_tracer(tracer, edge);
     }
 }
 
@@ -861,9 +870,9 @@ mod tests {
         });
     }
 
-    /// Seeded interleaving stress, mirroring the `SharedQueue` idiom:
-    /// random batch sizes on both sides, a tiny queue to force constant
-    /// blocking, occasional flushes and forced reschedules.
+    /// Seeded interleaving stress: random batch sizes on both sides, a
+    /// tiny queue to force constant blocking, occasional flushes and
+    /// forced reschedules. The stream must arrive intact for every seed.
     #[test]
     fn seeded_interleaving_stress() {
         let seeds: &[u64] = if cfg!(miri) {

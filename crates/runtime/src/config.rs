@@ -2,29 +2,13 @@
 
 use std::time::Duration;
 
-use cg_fault::{EffectModel, FaultClass, Mtbe};
+use cg_fault::{CoreInjector, EffectModel, FaultClass, Mtbe};
+use cg_queue::QueueSpec;
 use cg_telemetry::TelemetryConfig;
 use cg_trace::TraceConfig;
-use commguard::Protection;
+use commguard::{CoreGuard, Protection};
 
 use crate::watchdog::WatchdogConfig;
-
-/// How the threaded executor treats fault-enabled configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParFaults {
-    /// Inject faults in worker threads and recover at frame granularity:
-    /// each frame's outputs are staged and committed at the boundary; on
-    /// an invariant violation or a stalled transfer the frame is rolled
-    /// back and re-executed up to [`SimConfig::par_retry_budget`] times,
-    /// then degraded (outputs padded, frame advanced) so the run never
-    /// hangs and never aborts.
-    #[default]
-    Recover,
-    /// Strict legacy behaviour: reject fault-enabled configurations with
-    /// a [`crate::RunError`], keeping the threaded path provably
-    /// error-free.
-    Deny,
-}
 
 /// Real-time pacing of a run's sources.
 ///
@@ -160,9 +144,6 @@ pub struct SimConfig {
     pub overhead_model: OverheadModel,
     /// Cross-core stall watchdog.
     pub watchdog: WatchdogConfig,
-    /// Threaded executor: inject-and-recover (default) or strict
-    /// error-free-only. Ignored by the deterministic executor.
-    pub par_faults: ParFaults,
     /// Threaded executor: how many times a failing frame is re-executed
     /// before its outputs are degraded (padded) and the run advances.
     pub par_retry_budget: u32,
@@ -171,11 +152,6 @@ pub struct SimConfig {
     /// recovery) instead of a hang; scale it down in tests so failures
     /// surface in seconds.
     pub stall_timeout: Duration,
-    /// Threaded executor: how long a blocked SPSC ring port parks per
-    /// slice before re-checking its deadline. `None` (the default) uses
-    /// the built-in 1 ms slice, or a slice derived from the pacing period
-    /// when paced mode is on ([`Self::effective_park_slice`]).
-    pub park_slice: Option<Duration>,
     /// Real-time pacing: `Off` (the default, batch semantics) or
     /// `Paced { period, deadline, slo }` in clock ticks (µs threaded,
     /// rounds deterministic).
@@ -210,10 +186,8 @@ impl SimConfig {
             mem_model: MemModel::default(),
             overhead_model: OverheadModel::default(),
             watchdog: WatchdogConfig::default(),
-            par_faults: ParFaults::default(),
             par_retry_budget: 3,
             stall_timeout: Duration::from_secs(10),
-            park_slice: None,
             pacing: Pacing::Off,
             trace: TraceConfig::Off,
             telemetry: TelemetryConfig::Off,
@@ -234,6 +208,35 @@ impl SimConfig {
     /// Whether fault injectors will actually fire.
     pub fn faults_enabled(&self) -> bool {
         self.inject && self.protection.errors_enabled()
+    }
+
+    /// The shape of every queue: the configured capacity with the
+    /// protection mode's shared-pointer storage.
+    pub(crate) fn queue_spec(&self) -> QueueSpec {
+        QueueSpec::with_capacity(self.queue_capacity).pointer_mode(self.protection.pointer_mode())
+    }
+
+    /// The CommGuard modules of one core with `ins` in-ports and `outs`
+    /// out-ports; disabled unless the protection mode is CommGuard.
+    pub(crate) fn core_guard(&self, ins: usize, outs: usize) -> CoreGuard {
+        match self.protection.guard_config() {
+            Some(cfg) => {
+                // Promoted frames over the whole run (§5.4 scaling).
+                let promoted = self.frames.div_ceil(u64::from(cfg.frame_scale));
+                CoreGuard::new(ins, outs, &cfg, u32::try_from(promoted).ok())
+            }
+            None => CoreGuard::disabled(ins, outs),
+        }
+    }
+
+    /// The fault injector of `core`, seeded from the run seed and the core
+    /// id; it never fires unless faults are enabled.
+    pub(crate) fn core_injector(&self, core: u64) -> CoreInjector {
+        if self.faults_enabled() {
+            CoreInjector::new(self.mtbe, self.effect_model, self.seed, core)
+        } else {
+            CoreInjector::disabled(self.seed, core)
+        }
     }
 
     /// Sets the frame count (builder style).
@@ -264,13 +267,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the threaded-executor fault policy (builder style).
-    #[must_use]
-    pub fn par_faults(mut self, par_faults: ParFaults) -> Self {
-        self.par_faults = par_faults;
-        self
-    }
-
     /// Sets the threaded-executor frame retry budget (builder style).
     #[must_use]
     pub fn par_retry_budget(mut self, budget: u32) -> Self {
@@ -282,13 +278,6 @@ impl SimConfig {
     #[must_use]
     pub fn stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = timeout;
-        self
-    }
-
-    /// Sets the SPSC park slice override (builder style).
-    #[must_use]
-    pub fn park_slice(mut self, slice: Duration) -> Self {
-        self.park_slice = Some(slice);
         self
     }
 
@@ -318,9 +307,10 @@ impl SimConfig {
     ///   shorter than that would force stale transfers on an error-free
     ///   paced run.
     ///
-    /// Explicitly-set values are respected (the derivation only replaces
-    /// untouched defaults). Periods are interpreted as µs on the threaded
-    /// executor and as scheduler rounds on the deterministic one.
+    /// Explicitly-set `stall_timeout` and `timeout_rounds` values are
+    /// respected (the derivation only replaces untouched defaults).
+    /// Periods are interpreted as µs on the threaded executor and as
+    /// scheduler rounds on the deterministic one.
     #[must_use]
     pub fn pacing(mut self, pacing: Pacing) -> Self {
         self.pacing = pacing;
@@ -336,14 +326,10 @@ impl SimConfig {
         self
     }
 
-    /// The SPSC park slice actually used by the threaded executor: the
-    /// explicit override if set, else a slice derived from the pacing
-    /// period (`period / 20` µs clamped to [50 µs, 1 ms]), else the
-    /// historical 1 ms.
+    /// The SPSC park slice used by the threaded executor: a slice derived
+    /// from the pacing period (`period / 20` µs clamped to [50 µs, 1 ms]),
+    /// else the historical 1 ms.
     pub fn effective_park_slice(&self) -> Duration {
-        if let Some(slice) = self.park_slice {
-            return slice;
-        }
         match self.pacing {
             Pacing::Paced { period, .. } => Duration::from_micros((period / 20).clamp(50, 1000)),
             Pacing::Off => Duration::from_millis(1),
@@ -405,14 +391,11 @@ mod tests {
     #[test]
     fn threaded_fault_policy_defaults() {
         let c = SimConfig::error_free(1);
-        assert_eq!(c.par_faults, ParFaults::Recover);
         assert_eq!(c.par_retry_budget, 3);
         assert_eq!(c.stall_timeout, Duration::from_secs(10));
         let c = c
-            .par_faults(ParFaults::Deny)
             .par_retry_budget(5)
             .stall_timeout(Duration::from_millis(50));
-        assert_eq!(c.par_faults, ParFaults::Deny);
         assert_eq!(c.par_retry_budget, 5);
         assert_eq!(c.stall_timeout, Duration::from_millis(50));
     }
@@ -479,11 +462,9 @@ mod tests {
         // …explicit settings win over the derivation…
         let c = SimConfig::error_free(4)
             .stall_timeout(Duration::from_millis(250))
-            .park_slice(Duration::from_micros(200))
             .timeout_rounds(512)
             .pacing(p);
         assert_eq!(c.stall_timeout, Duration::from_millis(250));
-        assert_eq!(c.effective_park_slice(), Duration::from_micros(200));
         assert_eq!(c.timeout_rounds, 512);
         // …short periods floor the stall timeout and clamp the slice.
         let tight = SimConfig::error_free(4).pacing(Pacing::Paced {

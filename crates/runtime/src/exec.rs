@@ -10,18 +10,14 @@
 
 use cg_fault::{CoreInjector, StuckAtState};
 use cg_graph::{EdgeId, NodeId, NodeKind};
-use cg_queue::{QueueSpec, SimQueue, Which};
+use cg_queue::SimQueue;
 use cg_telemetry::{Clock, ClockMode, CoreProbe, RunCounters};
 use cg_trace::{DirTag, Event, Tracer, MACHINE_CORE};
 use commguard::qm::TimeoutTracker;
 use commguard::CoreGuard;
-use rand::Rng;
 
 use crate::config::SimConfig;
-use crate::faults::{
-    apply_perturbation, burst_flip_random_item, flip_random_item, garble_random_item,
-    partition_events,
-};
+use crate::faults::{firing_faults, AttachedQueues, Firing, Strike};
 use crate::pacing::{PacedSource, PacingReport};
 use crate::program::Program;
 use crate::report::{NodeReport, RunReport};
@@ -104,16 +100,11 @@ pub fn check_queue_capacity(
     if !has_fan {
         return Ok(());
     }
-    for (eid, e) in graph.edges() {
+    for (eid, _) in graph.edges() {
         let demand = schedule.items_per_iteration(eid) + cg_graph::random::HEADER_SLACK;
         if demand > capacity as u64 {
             return Err(RunError::CapacityExceeded {
-                edge: format!(
-                    "e{} ({}→{})",
-                    eid.index(),
-                    graph.node(e.src()).name(),
-                    graph.node(e.dst()).name()
-                ),
+                edge: edge_label(graph, eid),
                 demand,
                 capacity,
             });
@@ -123,6 +114,17 @@ pub fn check_queue_capacity(
 }
 
 impl std::error::Error for RunError {}
+
+/// `"e<idx> (<src>→<dst>)"`: how errors name an edge.
+pub(crate) fn edge_label(graph: &cg_graph::StreamGraph, eid: EdgeId) -> String {
+    let e = graph.edge(eid);
+    format!(
+        "e{} ({}→{})",
+        eid.index(),
+        graph.node(e.src()).name(),
+        graph.node(e.dst()).name()
+    )
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -196,9 +198,6 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
         .map_err(|e| RunError::Schedule(e.to_string()))?;
     check_queue_capacity(&graph, &schedule, config.queue_capacity)?;
 
-    let guard_cfg = config.protection.guard_config();
-    let pointer_mode = config.protection.pointer_mode();
-    let errors_on = config.faults_enabled();
     let tracer = config.trace.tracer();
     // Deterministic clock: ticks are scheduler rounds, so enabled-path
     // snapshots are byte-identical per seed.
@@ -211,11 +210,7 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
     // Queues, one per edge.
     let mut queues: Vec<SimQueue> = graph
         .edges()
-        .map(|_| {
-            SimQueue::new(
-                QueueSpec::with_capacity(config.queue_capacity).pointer_mode(pointer_mode),
-            )
-        })
+        .map(|_| SimQueue::new(config.queue_spec()))
         .collect();
     if tracer.is_enabled() {
         for (edge, q) in queues.iter_mut().enumerate() {
@@ -230,29 +225,6 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
             let in_edges = node.inputs().to_vec();
             let out_edges = node.outputs().to_vec();
             let reps = schedule.repetitions(id);
-            let guard = match &guard_cfg {
-                Some(cfg) => {
-                    // Promoted frames over the whole run (§5.4 scaling).
-                    let promoted = config.frames.div_ceil(u64::from(cfg.frame_scale));
-                    CoreGuard::new(
-                        in_edges.len(),
-                        out_edges.len(),
-                        cfg,
-                        u32::try_from(promoted).ok(),
-                    )
-                }
-                None => CoreGuard::disabled(in_edges.len(), out_edges.len()),
-            };
-            let injector = if errors_on {
-                CoreInjector::new(
-                    config.mtbe,
-                    config.effect_model,
-                    config.seed,
-                    id.index() as u64,
-                )
-            } else {
-                CoreInjector::disabled(config.seed, id.index() as u64)
-            };
             NodeRt {
                 id,
                 kind: node.kind(),
@@ -262,6 +234,8 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
                     .iter()
                     .map(|&e| graph.edge(e).push_rate())
                     .collect(),
+                guard: config.core_guard(in_edges.len(), out_edges.len()),
+                injector: config.core_injector(id.index() as u64),
                 staged_in: vec![Vec::new(); in_edges.len()],
                 staged_out: vec![Vec::new(); out_edges.len()],
                 out_pos: vec![0; out_edges.len()],
@@ -272,8 +246,6 @@ pub fn run(program: Program, config: &SimConfig) -> Result<RunReport, RunError> 
                 reps,
                 total_firings: reps * config.frames,
                 firings_done: 0,
-                guard,
-                injector,
                 work: works[id.index()].take(),
                 phase: Phase::Boundary,
                 instructions: 0,
@@ -742,178 +714,53 @@ fn fire(n: &mut NodeRt, queues: &mut [SimQueue], cost: &cg_graph::CostModel, con
         + n.push_rates.iter().map(|&r| u64::from(r)).sum::<u64>();
     let instr = cost.firing_cost(items_moved);
     n.instructions += instr;
-    let events = n.injector.advance(instr);
-
-    let faults = partition_events(config.fault_class, &events, &mut n.injector, &mut n.stuck);
-
-    for _ in 0..faults.pre_flips {
-        let mut bufs: Vec<&mut Vec<u32>> = n.staged_in.iter_mut().collect();
-        flip_random_item(&mut bufs, n.injector.rng_mut());
-    }
-    let sink_mark = n.sink_buf.len();
-
-    // The compute body.
-    match n.kind {
-        NodeKind::Source | NodeKind::Filter => {
-            let work = n.work.as_mut().expect("validated: work bound");
-            work.fire(&n.staged_in, &mut n.staged_out);
-        }
-        NodeKind::SplitDuplicate => {
-            for out in &mut n.staged_out {
-                out.extend_from_slice(&n.staged_in[0]);
-            }
-        }
-        NodeKind::SplitRoundRobin => {
-            let mut off = 0usize;
-            for (port, out) in n.staged_out.iter_mut().enumerate() {
-                let take = n.push_rates[port] as usize;
-                let end = (off + take).min(n.staged_in[0].len());
-                out.extend_from_slice(&n.staged_in[0][off..end]);
-                // Short input (itself an upstream error effect): pad the
-                // distribution with zeros to keep rates structural.
-                out.resize(out.len() + take - (end - off), 0);
-                off = end;
-            }
-        }
-        NodeKind::JoinRoundRobin => {
-            for inp in &n.staged_in {
-                n.staged_out[0].extend_from_slice(inp);
-            }
-        }
-        NodeKind::Sink => {
-            for inp in &n.staged_in {
-                n.sink_buf.extend_from_slice(inp);
-            }
-        }
-    }
-
-    for _ in 0..faults.post_flips {
-        let mut bufs: Vec<&mut Vec<u32>> = n.staged_out.iter_mut().collect();
-        if !flip_random_item(&mut bufs, n.injector.rng_mut()) && n.kind == NodeKind::Sink {
-            // Sinks have no outputs; the flip lands in the collected data.
-            let mut bufs = [&mut n.sink_buf];
-            flip_random_item(&mut bufs, n.injector.rng_mut());
-        }
-    }
-    for _ in 0..faults.bursts {
-        let mut bufs: Vec<&mut Vec<u32>> = n.staged_out.iter_mut().collect();
-        if !burst_flip_random_item(&mut bufs, n.injector.rng_mut()) && n.kind == NodeKind::Sink {
-            let mut bufs = [&mut n.sink_buf];
-            burst_flip_random_item(&mut bufs, n.injector.rng_mut());
-        }
-    }
-    if let Some(st) = n.stuck {
-        // A latched defect distorts every word the core produces.
-        for out in &mut n.staged_out {
-            for v in out.iter_mut() {
-                *v = st.apply(*v);
-            }
-        }
-        for v in n.sink_buf[sink_mark..].iter_mut() {
-            *v = st.apply(*v);
-        }
-    }
-    for pert in faults.perturbations {
-        apply_perturbation(&mut n.staged_out, pert, n.injector.rng_mut());
-    }
-    for _ in 0..faults.addressing {
-        apply_addressing_fault(n, queues, config);
-    }
-    for _ in 0..faults.pointer_hits {
-        apply_pointer_fault(n, queues);
-    }
-    for _ in 0..faults.header_hits {
-        apply_header_fault(n, queues);
-    }
-}
-
-/// An addressing error: corrupts a shared queue pointer of a random
-/// attached queue (silently fatal when pointers are unprotected — the
-/// paper's QME class) or, when no queue is attached or on the local-buffer
-/// side of the coin flip, garbles a staged item.
-fn apply_addressing_fault(n: &mut NodeRt, queues: &mut [SimQueue], config: &SimConfig) {
-    let attached: Vec<EdgeId> = n.in_edges.iter().chain(&n.out_edges).copied().collect();
-    let rng = n.injector.rng_mut();
-    let hit_queue = !attached.is_empty() && rng.gen::<bool>();
-    if hit_queue {
-        let e = attached[rng.gen_range(0..attached.len())];
-        let which = if rng.gen::<bool>() {
-            Which::Head
-        } else {
-            Which::Tail
-        };
-        let bit = rng.gen_range(0..20u32); // pointers are small counters
-        queues[e.index()].corrupt_shared_pointer(which, bit);
-    } else {
-        let mut bufs: Vec<&mut Vec<u32>> = n
-            .staged_in
-            .iter_mut()
-            .chain(n.staged_out.iter_mut())
-            .collect();
-        garble_random_item(&mut bufs, rng);
-    }
-    // Unprotected-header ablation: addressing errors can also strike
-    // in-flight header words, silently changing their ids.
-    if let Some(cfg) = config.protection.guard_config() {
-        if !cfg.protect_headers && !attached.is_empty() {
-            let rng = n.injector.rng_mut();
-            let e = attached[rng.gen_range(0..attached.len())];
-            let slot_seed = rng.gen::<u32>();
-            let bit = rng.gen_range(0..8u32); // low id bits: nearby frames
-            queues[e.index()].corrupt_random_header_payload(slot_seed, bit);
-        }
-    }
-}
-
-/// The `PointerCorruption` fault class: every event strikes the shared
-/// head/tail pointer of a random attached queue (QME, concentrated).
-/// Falls back to garbling a staged item when the node has no queues.
-fn apply_pointer_fault(n: &mut NodeRt, queues: &mut [SimQueue]) {
-    let attached: Vec<EdgeId> = n.in_edges.iter().chain(&n.out_edges).copied().collect();
-    let rng = n.injector.rng_mut();
-    if attached.is_empty() {
-        let mut bufs: Vec<&mut Vec<u32>> = n
-            .staged_in
-            .iter_mut()
-            .chain(n.staged_out.iter_mut())
-            .collect();
-        garble_random_item(&mut bufs, rng);
-        return;
-    }
-    let e = attached[rng.gen_range(0..attached.len())];
-    let which = if rng.gen::<bool>() {
-        Which::Head
-    } else {
-        Which::Tail
+    let faults = firing_faults(config.fault_class, &mut n.injector, &mut n.stuck, instr);
+    let mut firing = Firing {
+        kind: n.kind,
+        push_rates: &n.push_rates,
+        work: &mut n.work,
+        staged_in: &mut n.staged_in,
+        staged_out: &mut n.staged_out,
+        sink_buf: &mut n.sink_buf,
     };
-    let bit = rng.gen_range(0..20u32);
-    queues[e.index()].corrupt_shared_pointer(which, bit);
+    match faults {
+        None => firing.compute(),
+        Some(faults) => firing.run_faulted(
+            faults,
+            Strike {
+                injector: &mut n.injector,
+                stuck: n.stuck,
+                queues: &mut EdgeQueues {
+                    inputs: &n.in_edges,
+                    outputs: &n.out_edges,
+                    queues,
+                },
+                protection: config.protection,
+                guard: None,
+            },
+        ),
+    }
 }
 
-/// The `HeaderCorruption` fault class: every event flips one or two bits
-/// of an in-flight frame-header codeword on a random attached queue,
-/// stressing the HI/AM SECDED path. When no header is in flight (or no
-/// queue is attached) the event degrades to a plain item flip.
-fn apply_header_fault(n: &mut NodeRt, queues: &mut [SimQueue]) {
-    let attached: Vec<EdgeId> = n.in_edges.iter().chain(&n.out_edges).copied().collect();
-    let rng = n.injector.rng_mut();
-    let mut struck = false;
-    if !attached.is_empty() {
-        let e = attached[rng.gen_range(0..attached.len())];
-        let slot_seed = rng.gen::<u32>();
-        // Mostly single-bit (ECC corrects); occasionally double-bit
-        // (SECDED detects, AM recovers conservatively).
-        let bits = if rng.gen::<f64>() < 0.25 { 2 } else { 1 };
-        struck = queues[e.index()].corrupt_random_header_codeword(slot_seed, bits);
+/// A node's attached queues on the deterministic executor: its in- and
+/// out-edges, indexing the run's shared queue array.
+struct EdgeQueues<'a> {
+    inputs: &'a [EdgeId],
+    outputs: &'a [EdgeId],
+    queues: &'a mut [SimQueue],
+}
+
+impl AttachedQueues for EdgeQueues<'_> {
+    fn count(&self) -> usize {
+        self.inputs.len() + self.outputs.len()
     }
-    if !struck {
-        let rng = n.injector.rng_mut();
-        let mut bufs: Vec<&mut Vec<u32>> = n
-            .staged_in
-            .iter_mut()
-            .chain(n.staged_out.iter_mut())
-            .collect();
-        flip_random_item(&mut bufs, rng);
+
+    fn with_queue<R>(&mut self, idx: usize, f: impl FnOnce(&mut SimQueue) -> R) -> R {
+        let e = match self.inputs.get(idx) {
+            Some(&e) => e,
+            None => self.outputs[idx - self.inputs.len()],
+        };
+        f(&mut self.queues[e.index()])
     }
 }
 

@@ -24,8 +24,8 @@
 //! programs with one OS thread per node. It injects the same fault
 //! classes from per-core deterministic streams and recovers via
 //! frame-level checkpoint/re-execute with a bounded retry budget and
-//! graceful degradation (see [`SimConfig::par_faults`],
-//! [`SimConfig::par_retry_budget`], [`SimConfig::stall_timeout`]).
+//! graceful degradation (see [`SimConfig::par_retry_budget`] and
+//! [`SimConfig::stall_timeout`]).
 //!
 //! ```
 //! use cg_runtime::{Program, SimConfig, run};
@@ -70,11 +70,11 @@ pub mod work;
 
 pub use cg_telemetry::{TelemetryConfig, TelemetryReport};
 pub use cg_trace::{TraceConfig, TraceData};
-pub use config::{MemModel, OverheadModel, Pacing, ParFaults, SimConfig};
+pub use config::{MemModel, OverheadModel, Pacing, SimConfig};
 pub use exec::{check_queue_capacity, run, RunError};
 pub use overhead::{estimate_overhead, OverheadEstimate};
 pub use pacing::{PacedSource, PacingReport};
-pub use parallel::{run_parallel, run_parallel_with, ParTransport};
+pub use parallel::run_parallel;
 pub use program::Program;
 pub use report::{NodeReport, RunReport};
 pub use watchdog::{WatchdogAction, WatchdogConfig, WatchdogStats};

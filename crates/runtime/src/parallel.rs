@@ -1,6 +1,6 @@
 //! A threaded executor: one OS thread per node, edges carried by
-//! blocking [`SharedQueue`]s with a batched transport, and a frame-level
-//! checkpoint/re-execute recovery ladder for error-prone runs.
+//! lock-free SPSC rings, and a frame-level checkpoint/re-execute recovery
+//! ladder for error-prone runs.
 //!
 //! The deterministic executor ([`crate::run`]) is the measurement
 //! instrument — bit-reproducible, with scheduler-round-accurate fault
@@ -15,8 +15,8 @@
 //! ## Recovery ladder
 //!
 //! Error-free configurations keep strict semantics: any stall or dead
-//! peer is a [`RunError::Parallel`]. With faults enabled (and
-//! [`ParFaults::Recover`], the default), workers instead recover:
+//! peer is a [`RunError::Parallel`]. With faults enabled, workers instead
+//! recover:
 //!
 //! 1. **Blocked queue operations** are bounded by
 //!    [`SimConfig::stall_timeout`]; a stalled header drain or output push
@@ -46,172 +46,38 @@
 //!
 //! ## Transport
 //!
-//! The default [`ParTransport::LockFree`] carries every edge over a
-//! lock-free SPSC ring ([`cg_queue::spsc_pair`]): the producer and
-//! consumer each own an independent queue view, synchronise only through
-//! cache-line-padded atomic shared pointers (published once per working
-//! set, re-read on apparent-full/empty), and block with a spin-then-park
-//! slow path. No mutex or condvar is touched on the steady-state push/pop
-//! path. The mutex/condvar [`SharedQueue`] transports are retained as
-//! baselines: [`ParTransport::Batched`] moves a whole firing's worth of
-//! units per lock acquisition through
-//! [`CoreGuard::pop_batch`]/[`CoreGuard::push_batch`],
-//! [`ParTransport::PerItem`] one unit per acquisition. All three drive
-//! the same guard code over the same [`SimQueue`] protocol, so guarded
-//! behaviour is bit-identical across transports. Each worker closes its
-//! queue endpoints on exit — including panic unwinds — so a dead
+//! Every edge is a lock-free SPSC ring ([`cg_queue::spsc_pair`]): the
+//! producer and consumer each own an independent queue view, synchronise
+//! only through cache-line-padded atomic shared pointers (published once
+//! per working set, re-read on apparent-full/empty), and block with a
+//! spin-then-park slow path. No mutex or condvar is touched on the
+//! steady-state push/pop path, and each call moves a whole firing's worth
+//! of units through [`CoreGuard::pop_batch`]/[`CoreGuard::push_batch`].
+//! The views run the same [`SimQueue`] protocol as the deterministic
+//! executor, so guarded behaviour is bit-identical. Each worker's
+//! endpoints close when dropped — including panic unwinds — so a dead
 //! neighbour surfaces promptly instead of hanging the run; the stall
 //! timeout backstops everything else.
 
 use cg_fault::{CoreInjector, StuckAtState};
-use cg_graph::{EdgeId, NodeId, NodeKind};
+use cg_graph::schedule::Schedule;
+use cg_graph::{CostModel, EdgeId, NodeId, NodeKind, StreamGraph};
 use cg_queue::{
-    spsc_pair_with, QueueSpec, QueueStats, SharedQueue, Side, SimQueue, SpscConsumer, SpscProducer,
-    SpscStats, WaitError, Which,
+    spsc_pair_with, QueueStats, SimQueue, SpscConsumer, SpscProducer, SpscStats, WaitError,
 };
-use cg_telemetry::{Clock, ClockMode, CoreProbe};
-use cg_trace::{Event, MACHINE_CORE};
+use cg_telemetry::{Clock, ClockMode, CoreProbe, Telemetry};
+use cg_trace::{Event, Tracer, MACHINE_CORE};
 use commguard::CoreGuard;
-use rand::Rng;
 
-use crate::config::{ParFaults, SimConfig};
-use crate::faults::{
-    apply_perturbation, burst_flip_random_item, flip_random_item, garble_random_item,
-    partition_events,
-};
+use crate::config::SimConfig;
+use crate::exec::edge_label;
+use crate::faults::{firing_faults, AttachedQueues, Firing, Strike};
 use crate::pacing::{PacedSource, PacingReport};
 use crate::program::Program;
 use crate::report::{NodeReport, RunReport};
 use crate::watchdog::WatchdogStats;
+use crate::work::WorkFn;
 use crate::RunError;
-
-/// How the threaded executor moves units between worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParTransport {
-    /// One queue-lock acquisition per unit — the historical transport,
-    /// kept as the benchmark baseline.
-    PerItem,
-    /// One lock acquisition per firing per port, moving whole batches.
-    Batched,
-    /// Lock-free SPSC rings: batched transfers with no lock anywhere on
-    /// the steady-state push/pop path (the default).
-    #[default]
-    LockFree,
-}
-
-impl ParTransport {
-    /// Parses a transport name as used by the campaign CLI and bench
-    /// reports.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "per-item" | "peritem" => Some(ParTransport::PerItem),
-            "batched" => Some(ParTransport::Batched),
-            "lock-free" | "lockfree" => Some(ParTransport::LockFree),
-            _ => None,
-        }
-    }
-
-    /// Stable label, the inverse of [`Self::parse`].
-    pub fn label(self) -> &'static str {
-        match self {
-            ParTransport::PerItem => "per-item",
-            ParTransport::Batched => "batched",
-            ParTransport::LockFree => "lock-free",
-        }
-    }
-}
-
-/// A worker's producing endpoint on one out-edge: a borrowed
-/// mutex-guarded queue, or an owned lock-free endpoint. Dropping the port
-/// (normal exit and panic unwind alike) closes the endpoint so blocked
-/// neighbours observe a dead peer instead of waiting out the stall
-/// timeout.
-///
-/// The variants are deliberately unboxed: the `LockFree` endpoint embeds
-/// the producer's whole `SimQueue` view, and boxing it would put a heap
-/// indirection on every steady-state push. Ports live in one small
-/// per-worker `Vec` built once per run, so the size skew is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum PushPort<'a> {
-    Locked(&'a SharedQueue),
-    LockFree(SpscProducer),
-}
-
-impl PushPort<'_> {
-    fn produce<R>(&mut self, f: impl FnMut(&mut SimQueue) -> Option<R>) -> Result<R, WaitError> {
-        match self {
-            PushPort::Locked(q) => q.produce(f),
-            PushPort::LockFree(p) => p.produce(f),
-        }
-    }
-
-    fn with<R>(&mut self, f: impl FnOnce(&mut SimQueue) -> R) -> R {
-        match self {
-            PushPort::Locked(q) => q.with(f),
-            PushPort::LockFree(p) => p.with(f),
-        }
-    }
-}
-
-impl Drop for PushPort<'_> {
-    fn drop(&mut self) {
-        match self {
-            PushPort::Locked(q) => q.close(Side::Producer),
-            // The owned endpoint closes itself when dropped.
-            PushPort::LockFree(_) => {}
-        }
-    }
-}
-
-/// A worker's consuming endpoint on one in-edge; see [`PushPort`]
-/// (including why the large variant is not boxed).
-#[allow(clippy::large_enum_variant)]
-enum PopPort<'a> {
-    Locked(&'a SharedQueue),
-    LockFree(SpscConsumer),
-}
-
-impl PopPort<'_> {
-    fn consume<R>(&mut self, f: impl FnMut(&mut SimQueue) -> Option<R>) -> Result<R, WaitError> {
-        match self {
-            PopPort::Locked(q) => q.consume(f),
-            PopPort::LockFree(c) => c.consume(f),
-        }
-    }
-
-    fn with<R>(&mut self, f: impl FnOnce(&mut SimQueue) -> R) -> R {
-        match self {
-            PopPort::Locked(q) => q.with(f),
-            PopPort::LockFree(c) => c.with(f),
-        }
-    }
-}
-
-impl Drop for PopPort<'_> {
-    fn drop(&mut self) {
-        match self {
-            PopPort::Locked(q) => q.close(Side::Consumer),
-            PopPort::LockFree(_) => {}
-        }
-    }
-}
-
-/// Runs `f` on the queue behind attached-port index `idx`, where the
-/// fault machinery numbers a node's ports in-edges first, then out-edges
-/// (matching the historical `attached` edge list, so per-seed fault
-/// targeting is unchanged).
-fn with_attached_queue<R>(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
-    idx: usize,
-    f: impl FnOnce(&mut SimQueue) -> R,
-) -> R {
-    if idx < in_ports.len() {
-        in_ports[idx].with(f)
-    } else {
-        out_ports[idx - in_ports.len()].with(f)
-    }
-}
 
 /// Why a frame attempt could not complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -222,151 +88,97 @@ enum FrameFail {
     Terminal,
 }
 
-fn stall_error(node: &str, action: &str, edge: &str, err: WaitError) -> RunError {
-    RunError::Parallel(format!("node '{node}' {action} on edge {edge}: {err}"))
+/// A worker's ring endpoints: consumers on its in-edges, producers on its
+/// out-edges. Dropping them (normal exit and panic unwind alike) closes
+/// them, so blocked neighbours observe a dead peer instead of waiting out
+/// the stall timeout.
+struct Ports {
+    inputs: Vec<SpscConsumer>,
+    outputs: Vec<SpscProducer>,
 }
 
-/// Threaded mirror of the deterministic executor's addressing fault:
-/// corrupts a shared queue pointer of a random attached queue or garbles
-/// a staged item, optionally strikes an in-flight header payload when
-/// the unprotected-header ablation is active, and — threaded-only — can
-/// land in the guard's own soft state, where checked triplication heals
-/// it at the next scrub point.
-fn par_addressing_fault(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
-    staged_in: &mut [Vec<u32>],
-    staged_out: &mut [Vec<u32>],
-    injector: &mut CoreInjector,
-    guard: &mut CoreGuard,
-    headers_unprotected: bool,
-) {
-    let attached = in_ports.len() + out_ports.len();
-    let rng = injector.rng_mut();
-    let hit_queue = attached > 0 && rng.gen::<bool>();
-    if hit_queue {
-        let idx = rng.gen_range(0..attached);
-        let which = if rng.gen::<bool>() {
-            Which::Head
-        } else {
-            Which::Tail
-        };
-        let bit = rng.gen_range(0..20u32); // pointers are small counters
-        with_attached_queue(in_ports, out_ports, idx, |q| {
-            q.corrupt_shared_pointer(which, bit);
-        });
-    } else {
-        let mut bufs: Vec<&mut Vec<u32>> =
-            staged_in.iter_mut().chain(staged_out.iter_mut()).collect();
-        garble_random_item(&mut bufs, rng);
+impl AttachedQueues for Ports {
+    fn count(&self) -> usize {
+        self.inputs.len() + self.outputs.len()
     }
-    if headers_unprotected && attached > 0 {
-        let rng = injector.rng_mut();
-        let idx = rng.gen_range(0..attached);
-        let slot_seed = rng.gen::<u32>();
-        let bit = rng.gen_range(0..8u32); // low id bits: nearby frames
-        with_attached_queue(in_ports, out_ports, idx, |q| {
-            q.corrupt_random_header_payload(slot_seed, bit);
-        });
-    }
-    let sel = u64::from(injector.rng_mut().gen::<u32>());
-    guard.corrupt_guard_state(sel);
-}
 
-/// Threaded mirror of the concentrated `PointerCorruption` class.
-fn par_pointer_fault(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
-    staged_in: &mut [Vec<u32>],
-    staged_out: &mut [Vec<u32>],
-    injector: &mut CoreInjector,
-) {
-    let attached = in_ports.len() + out_ports.len();
-    let rng = injector.rng_mut();
-    if attached == 0 {
-        let mut bufs: Vec<&mut Vec<u32>> =
-            staged_in.iter_mut().chain(staged_out.iter_mut()).collect();
-        garble_random_item(&mut bufs, rng);
-        return;
-    }
-    let idx = rng.gen_range(0..attached);
-    let which = if rng.gen::<bool>() {
-        Which::Head
-    } else {
-        Which::Tail
-    };
-    let bit = rng.gen_range(0..20u32);
-    with_attached_queue(in_ports, out_ports, idx, |q| {
-        q.corrupt_shared_pointer(which, bit);
-    });
-}
-
-/// Threaded mirror of the concentrated `HeaderCorruption` class.
-fn par_header_fault(
-    in_ports: &mut [PopPort<'_>],
-    out_ports: &mut [PushPort<'_>],
-    staged_in: &mut [Vec<u32>],
-    staged_out: &mut [Vec<u32>],
-    injector: &mut CoreInjector,
-) {
-    let attached = in_ports.len() + out_ports.len();
-    let rng = injector.rng_mut();
-    let mut struck = false;
-    if attached > 0 {
-        let idx = rng.gen_range(0..attached);
-        let slot_seed = rng.gen::<u32>();
-        // Mostly single-bit (ECC corrects); occasionally double-bit
-        // (SECDED detects, AM recovers conservatively).
-        let bits = if rng.gen::<f64>() < 0.25 { 2 } else { 1 };
-        struck = with_attached_queue(in_ports, out_ports, idx, |q| {
-            q.corrupt_random_header_codeword(slot_seed, bits)
-        });
-    }
-    if !struck {
-        let rng = injector.rng_mut();
-        let mut bufs: Vec<&mut Vec<u32>> =
-            staged_in.iter_mut().chain(staged_out.iter_mut()).collect();
-        flip_random_item(&mut bufs, rng);
+    fn with_queue<R>(&mut self, idx: usize, f: impl FnOnce(&mut SimQueue) -> R) -> R {
+        match idx.checked_sub(self.inputs.len()) {
+            None => self.inputs[idx].with(f),
+            Some(out) => self.outputs[out].with(f),
+        }
     }
 }
 
-/// Runs `program` with one thread per node and the lock-free transport.
+/// Read-only run context shared by every worker.
+struct RunCtx<'a> {
+    config: &'a SimConfig,
+    graph: &'a StreamGraph,
+    /// Faults are injected, so workers recover instead of erroring; the
+    /// error-free executor keeps strict stall/peer-death semantics.
+    recovery: bool,
+    tracer: Tracer,
+    /// Pacing runs on one wall clock shared by every worker, so all cores
+    /// agree on "now", frame release ticks, and deadlines (all in µs).
+    pace: PacedSource,
+}
+
+/// What a joined worker hands back for report assembly.
+struct ThreadResult {
+    node: NodeId,
+    report: NodeReport,
+    sink: Option<Vec<u32>>,
+    retries: u64,
+    degrades: u64,
+    probe: CoreProbe,
+    pace: Option<PacingReport>,
+}
+
+/// One node's worker thread: its endpoints, guard, injector, and the
+/// frame-local state the recovery ladder checkpoints.
+struct Worker<'a> {
+    ctx: &'a RunCtx<'a>,
+    id: NodeId,
+    kind: NodeKind,
+    cost: CostModel,
+    reps: u64,
+    pop_rates: Vec<u32>,
+    push_rates: Vec<u32>,
+    ports: Ports,
+    work: Option<Box<dyn WorkFn>>,
+    guard: CoreGuard,
+    injector: CoreInjector,
+    stuck: Option<StuckAtState>,
+    // The worker owns its probe outright (lock-free by ownership); it
+    // travels back in the ThreadResult.
+    probe: CoreProbe,
+    staged_in: Vec<Vec<u32>>,
+    staged_out: Vec<Vec<u32>>,
+    // Frame-local recovery state: post-AM values popped this frame (for
+    // replay), the replay cursor, and how much of each port's frame output
+    // is already on the wire.
+    input_log: Vec<Vec<u32>>,
+    replayed: Vec<usize>,
+    committed: Vec<usize>,
+    sink_buf: Vec<u32>,
+    instructions: u64,
+    timeouts: u64,
+    retries: u64,
+    degrades: u64,
+    deadline_degrades: u64,
+    pace_acc: Option<PacingReport>,
+}
+
+/// Runs `program` with one thread per node over lock-free SPSC rings.
 ///
 /// # Errors
 ///
-/// Returns [`RunError`] for unbound nodes or inconsistent schedules,
-/// [`RunError::BadEffectModel`] when errors are enabled but
-/// [`SimConfig::par_faults`] is [`ParFaults::Deny`], and
+/// Returns [`RunError`] for unbound nodes or inconsistent schedules, and
 /// [`RunError::Parallel`] when an *error-free* run stalls past the
-/// transport timeout or a worker dies. Error-prone runs with
-/// [`ParFaults::Recover`] never error from faults: they retry and then
-/// degrade (worker panics remain fatal).
+/// transport timeout or a worker dies. Error-prone runs never error from
+/// faults: they retry and then degrade (worker panics remain fatal).
 pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, RunError> {
-    run_parallel_with(program, config, ParTransport::LockFree)
-}
-
-/// [`run_parallel`] with an explicit transport choice (the benchmark
-/// harness compares [`ParTransport::PerItem`] and
-/// [`ParTransport::Batched`] against the default
-/// [`ParTransport::LockFree`]).
-///
-/// # Errors
-///
-/// As for [`run_parallel`].
-pub fn run_parallel_with(
-    program: Program,
-    config: &SimConfig,
-    transport: ParTransport,
-) -> Result<RunReport, RunError> {
     let errors_on = config.faults_enabled();
-    if errors_on && config.par_faults == ParFaults::Deny {
-        return Err(RunError::BadEffectModel(
-            "error injection denied for the threaded executor \
-             (SimConfig::par_faults is ParFaults::Deny); use cg_runtime::run \
-             or allow ParFaults::Recover"
-                .into(),
-        ));
-    }
     program.validate_bound().map_err(RunError::UnboundNode)?;
     if errors_on {
         config
@@ -379,80 +191,31 @@ pub fn run_parallel_with(
         .schedule()
         .map_err(|e| RunError::Schedule(e.to_string()))?;
     crate::exec::check_queue_capacity(&graph, &schedule, config.queue_capacity)?;
-    let guard_cfg = config.protection.guard_config();
-    // Unprotected-header ablation (addressing faults strike header words).
-    let headers_unprotected = guard_cfg.as_ref().is_some_and(|c| !c.protect_headers);
-    // Recovery replaces hard errors only for fault-injected runs; the
-    // error-free executor keeps strict stall/peer-death semantics.
-    let recovery = errors_on;
-    let retry_budget = config.par_retry_budget;
-    let tracer = config.trace.tracer();
+    let ctx = RunCtx {
+        config,
+        graph: &graph,
+        recovery: errors_on,
+        tracer: config.trace.tracer(),
+        pace: PacedSource::new(config.pacing, Clock::new(ClockMode::Wall)),
+    };
     // Wall clock: threaded frame latency is real microseconds. (The
     // determinism contract only covers the deterministic executor.)
     let telem = config.telemetry.telemetry(ClockMode::Wall);
-    // Pacing drives its own wall clock, shared by every worker: clones
-    // of a wall [`Clock`] keep the same origin instant, so all cores
-    // agree on "now", frame release ticks, and deadlines (all in µs).
-    let paced_on = config.pacing.is_paced();
-    let pace = PacedSource::new(config.pacing, Clock::new(ClockMode::Wall));
 
-    let lock_free = transport == ParTransport::LockFree;
-    let spec = || {
-        QueueSpec::with_capacity(config.queue_capacity)
-            .pointer_mode(config.protection.pointer_mode())
-    };
-    // Locked transports share one mutex-guarded queue per edge; the
-    // lock-free transport instead hands each endpoint thread its own
-    // owned view (taken out of these slots in the spawn loop below) plus
-    // a stats handle that stays behind for post-join collection.
-    let queues: Vec<SharedQueue> = if lock_free {
-        Vec::new()
-    } else {
-        graph
-            .edges()
-            .map(|_| SharedQueue::with_stall_timeout(SimQueue::new(spec()), config.stall_timeout))
-            .collect()
-    };
-    let mut lf_producers: Vec<Option<SpscProducer>> = Vec::new();
-    let mut lf_consumers: Vec<Option<SpscConsumer>> = Vec::new();
-    let mut lf_stats: Vec<SpscStats> = Vec::new();
-    if lock_free {
-        for _ in graph.edges() {
-            let (p, c, s) =
-                spsc_pair_with(spec(), config.stall_timeout, config.effective_park_slice());
-            lf_producers.push(Some(p));
-            lf_consumers.push(Some(c));
-            lf_stats.push(s);
-        }
-    }
-    // Human-readable edge labels for stuck-edge errors.
-    let edge_labels: Vec<String> = graph
-        .edges()
-        .map(|(id, e)| {
-            format!(
-                "e{} ({}\u{2192}{})",
-                id.index(),
-                graph.node(e.src()).name(),
-                graph.node(e.dst()).name()
-            )
-        })
-        .collect();
-    // A batch never needs to exceed one firing's rate; `PerItem` degrades
-    // every batch to a single unit.
-    let chunk_limit: usize = match transport {
-        ParTransport::PerItem => 1,
-        ParTransport::Batched | ParTransport::LockFree => usize::MAX,
-    };
-
-    struct ThreadResult {
-        node: NodeId,
-        in_edges: Vec<EdgeId>,
-        report: NodeReport,
-        sink: Option<Vec<u32>>,
-        retries: u64,
-        degrades: u64,
-        probe: CoreProbe,
-        pace: Option<PacingReport>,
+    // Each endpoint moves out of its slot into the one worker that owns
+    // it; the stats handles stay behind for post-join collection.
+    let mut producers: Vec<Option<SpscProducer>> = Vec::new();
+    let mut consumers: Vec<Option<SpscConsumer>> = Vec::new();
+    let mut edge_stats: Vec<SpscStats> = Vec::new();
+    for _ in graph.edges() {
+        let (p, c, s) = spsc_pair_with(
+            config.queue_spec(),
+            config.stall_timeout,
+            config.effective_park_slice(),
+        );
+        producers.push(Some(p));
+        consumers.push(Some(c));
+        edge_stats.push(s);
     }
 
     let mut results: Vec<ThreadResult> = Vec::with_capacity(graph.node_count());
@@ -460,593 +223,25 @@ pub fn run_parallel_with(
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (id, node) in graph.nodes() {
-            let work = works[id.index()].take();
-            let in_edges: Vec<_> = node.inputs().to_vec();
-            let out_edges: Vec<_> = node.outputs().to_vec();
-            let pop_rates: Vec<u32> = in_edges.iter().map(|&e| graph.edge(e).pop_rate()).collect();
-            let push_rates: Vec<u32> = out_edges
-                .iter()
-                .map(|&e| graph.edge(e).push_rate())
-                .collect();
-            let kind = node.kind();
-            let name = node.name().to_string();
-            let cost = *node.cost();
-            let reps = schedule.repetitions(id);
-            let frames = config.frames;
-            let edge_labels = &edge_labels;
-            let wtracer = tracer.clone();
-            let pace = pace.clone();
-            let core_id = id.index() as u32;
-            // The worker owns its probe outright (lock-free by
-            // ownership); it travels back in the ThreadResult.
-            let mut probe = telem.probe(core_id, node.name());
-            // Build this worker's ports up front (lock-free endpoints are
-            // moved out of their slots exactly once). The ports travel
-            // into the worker closure, so a panic unwind drops — and
-            // therefore closes — them.
-            let in_ports: Vec<PopPort<'_>> = in_edges
-                .iter()
-                .map(|&e| {
-                    if lock_free {
-                        PopPort::LockFree(
-                            lf_consumers[e.index()]
-                                .take()
-                                .expect("each edge has exactly one consumer"),
-                        )
-                    } else {
-                        PopPort::Locked(&queues[e.index()])
-                    }
-                })
-                .collect();
-            let out_ports: Vec<PushPort<'_>> = out_edges
-                .iter()
-                .map(|&e| {
-                    if lock_free {
-                        PushPort::LockFree(
-                            lf_producers[e.index()]
-                                .take()
-                                .expect("each edge has exactly one producer"),
-                        )
-                    } else {
-                        PushPort::Locked(&queues[e.index()])
-                    }
-                })
-                .collect();
-            let worker = move || -> Result<ThreadResult, RunError> {
-                let mut in_ports = in_ports;
-                let mut out_ports = out_ports;
-                let mut guard = match &guard_cfg {
-                    Some(cfg) => CoreGuard::new(
-                        in_edges.len(),
-                        out_edges.len(),
-                        cfg,
-                        u32::try_from(frames.div_ceil(u64::from(cfg.frame_scale))).ok(),
-                    ),
-                    None => CoreGuard::disabled(in_edges.len(), out_edges.len()),
-                };
-                let mut injector = if errors_on {
-                    CoreInjector::new(
-                        config.mtbe,
-                        config.effect_model,
-                        config.seed,
-                        u64::from(core_id),
-                    )
-                } else {
-                    CoreInjector::disabled(config.seed, u64::from(core_id))
-                };
-                let mut stuck: Option<StuckAtState> = None;
-                let mut work = work;
-                let mut staged_in: Vec<Vec<u32>> = vec![Vec::new(); in_edges.len()];
-                let mut staged_out: Vec<Vec<u32>> = vec![Vec::new(); out_edges.len()];
-                // Frame-local recovery state: post-AM values popped this
-                // frame (for replay), the replay cursor, and how much of
-                // each port's frame output is already on the wire.
-                let mut input_log: Vec<Vec<u32>> = vec![Vec::new(); in_edges.len()];
-                let mut replayed: Vec<usize> = vec![0; in_edges.len()];
-                let mut committed: Vec<usize> = vec![0; out_edges.len()];
-                let mut sink_buf: Vec<u32> = Vec::new();
-                let mut instructions = 0u64;
-                let mut timeouts = 0u64;
-                let mut retries = 0u64;
-                let mut degrades = 0u64;
-                let mut deadline_degrades = 0u64;
-                let mut pace_acc = PacingReport::for_pacing(config.pacing, "us");
-                let items_moved: u64 = pop_rates.iter().map(|&r| u64::from(r)).sum::<u64>()
-                    + push_rates.iter().map(|&r| u64::from(r)).sum::<u64>();
-                guard.start();
-                for frame in 0..frames {
-                    // Paced sources release frames on the period schedule
-                    // (sleeping *before* the telemetry frame opens, so
-                    // pacing idle never counts as frame latency); every
-                    // other node paces naturally on data arrival.
-                    if kind == NodeKind::Source {
-                        pace.wait_release(frame);
-                    }
-                    // Open the telemetry frame before the boundary flush so
-                    // no wall time goes unattributed.
-                    probe.frame_start();
-                    let frame_retries0 = retries;
-                    let frame_degrades0 = degrades;
-                    if frame > 0 {
-                        for p in &mut out_ports {
-                            p.with(SimQueue::flush);
-                        }
-                        guard.scope_boundary();
-                    }
-                    // Drain pending headers (block on full queues).
-                    for (port, &e) in out_edges.iter().enumerate() {
-                        let w0 = probe.wait_begin();
-                        let drained =
-                            out_ports[port].produce(|q| guard.hi_tick(port, q).then_some(()));
-                        probe.wait_end(w0);
-                        if let Err(w) = drained {
-                            if !recovery {
-                                return Err(stall_error(
-                                    &name,
-                                    "draining headers",
-                                    &edge_labels[e.index()],
-                                    w,
-                                ));
-                            }
-                            if matches!(w, WaitError::TimedOut) {
-                                timeouts += 1;
-                            }
-                            // Force the header out so the next boundary
-                            // finds the port clear.
-                            out_ports[port].with(|q| {
-                                if !guard.hi_tick(port, q) {
-                                    guard.hi_force(port, q);
-                                }
-                            });
-                        }
-                    }
-                    // Frame checkpoint: everything a retry must restore.
-                    let sink_mark = sink_buf.len();
-                    for log in &mut input_log {
-                        log.clear();
-                    }
-                    committed.fill(0);
-                    let mut attempt: u32 = 0;
-                    let mut deadline_cut = false;
-                    'attempts: loop {
-                        let attempt_start = if paced_on { pace.now() } else { 0 };
-                        sink_buf.truncate(sink_mark);
-                        replayed.fill(0);
-                        for b in &mut staged_in {
-                            b.clear();
-                        }
-                        for b in &mut staged_out {
-                            b.clear();
-                        }
-                        let mut produced: Vec<usize> = vec![0; out_edges.len()];
-                        let mut fail: Option<FrameFail> = None;
-                        // Overload shedding: a frame already past its
-                        // deadline cannot land on time no matter what —
-                        // discharge it through the degrade rung below
-                        // without executing (or blocking on) anything,
-                        // so the source is never back-pressured into
-                        // stalling.
-                        if recovery && pace.hopeless(frame) {
-                            deadline_cut = true;
-                            fail = Some(FrameFail::Terminal);
-                        }
-                        'firings: for _ in 0..reps {
-                            if fail.is_some() {
-                                break 'firings;
-                            }
-                            // Pop inputs: replay the frame log first, then
-                            // live pops (one lock acquisition per wakeup).
-                            for (port, &e) in in_edges.iter().enumerate() {
-                                if fail.is_some() {
-                                    break;
-                                }
-                                let need = pop_rates[port] as usize;
-                                if recovery {
-                                    let avail = input_log[port].len() - replayed[port];
-                                    if avail > 0 {
-                                        let take = avail.min(need);
-                                        let from = replayed[port];
-                                        staged_in[port]
-                                            .extend_from_slice(&input_log[port][from..from + take]);
-                                        replayed[port] += take;
-                                    }
-                                }
-                                let live_from = staged_in[port].len();
-                                while staged_in[port].len() < need {
-                                    let buf = &mut staged_in[port];
-                                    let max = (need - buf.len()).min(chunk_limit);
-                                    let w0 = probe.wait_begin();
-                                    let popped = in_ports[port].consume(|q| {
-                                        let got = guard.pop_batch(port, q, buf, max);
-                                        (got > 0).then_some(())
-                                    });
-                                    probe.wait_end(w0);
-                                    if let Err(w) = popped {
-                                        if !recovery {
-                                            return Err(stall_error(
-                                                &name,
-                                                "popping items",
-                                                &edge_labels[e.index()],
-                                                w,
-                                            ));
-                                        }
-                                        fail = Some(match w {
-                                            WaitError::TimedOut => {
-                                                timeouts += 1;
-                                                FrameFail::Retryable
-                                            }
-                                            WaitError::PeerClosed => FrameFail::Terminal,
-                                        });
-                                        break;
-                                    }
-                                }
-                                if recovery {
-                                    // Log live pops so a retry replays them
-                                    // without touching the queue (or AM).
-                                    let (stage, log) = (&staged_in[port], &mut input_log[port]);
-                                    log.extend_from_slice(&stage[live_from..]);
-                                    replayed[port] = log.len();
-                                }
-                            }
-                            if fail.is_some() {
-                                break 'firings;
-                            }
-                            // Charge instructions and collect fault events
-                            // (same pacing as the deterministic executor).
-                            let instr = cost.firing_cost(items_moved);
-                            instructions += instr;
-                            let firing_faults = if errors_on {
-                                let events = injector.advance(instr);
-                                Some(partition_events(
-                                    config.fault_class,
-                                    &events,
-                                    &mut injector,
-                                    &mut stuck,
-                                ))
-                            } else {
-                                None
-                            };
-                            if let Some(f) = &firing_faults {
-                                for _ in 0..f.pre_flips {
-                                    let mut bufs: Vec<&mut Vec<u32>> =
-                                        staged_in.iter_mut().collect();
-                                    flip_random_item(&mut bufs, injector.rng_mut());
-                                }
-                            }
-                            let sink_fire_mark = sink_buf.len();
-                            // The compute body.
-                            match kind {
-                                NodeKind::Source | NodeKind::Filter => {
-                                    work.as_mut()
-                                        .expect("bound")
-                                        .fire(&staged_in, &mut staged_out);
-                                }
-                                NodeKind::SplitDuplicate => {
-                                    for out in &mut staged_out {
-                                        out.extend_from_slice(&staged_in[0]);
-                                    }
-                                }
-                                NodeKind::SplitRoundRobin => {
-                                    let mut off = 0usize;
-                                    for (port, out) in staged_out.iter_mut().enumerate() {
-                                        let take = push_rates[port] as usize;
-                                        let end = (off + take).min(staged_in[0].len());
-                                        out.extend_from_slice(&staged_in[0][off..end]);
-                                        // Short input (an upstream error
-                                        // effect): keep rates structural.
-                                        out.resize(out.len() + take - (end - off), 0);
-                                        off = end;
-                                    }
-                                }
-                                NodeKind::JoinRoundRobin => {
-                                    for inp in &staged_in {
-                                        staged_out[0].extend_from_slice(inp);
-                                    }
-                                }
-                                NodeKind::Sink => {
-                                    for inp in &staged_in {
-                                        sink_buf.extend_from_slice(inp);
-                                    }
-                                }
-                            }
-                            if let Some(f) = firing_faults {
-                                for _ in 0..f.post_flips {
-                                    let mut bufs: Vec<&mut Vec<u32>> =
-                                        staged_out.iter_mut().collect();
-                                    if !flip_random_item(&mut bufs, injector.rng_mut())
-                                        && kind == NodeKind::Sink
-                                    {
-                                        let mut bufs = [&mut sink_buf];
-                                        flip_random_item(&mut bufs, injector.rng_mut());
-                                    }
-                                }
-                                for _ in 0..f.bursts {
-                                    let mut bufs: Vec<&mut Vec<u32>> =
-                                        staged_out.iter_mut().collect();
-                                    if !burst_flip_random_item(&mut bufs, injector.rng_mut())
-                                        && kind == NodeKind::Sink
-                                    {
-                                        let mut bufs = [&mut sink_buf];
-                                        burst_flip_random_item(&mut bufs, injector.rng_mut());
-                                    }
-                                }
-                                if let Some(st) = stuck {
-                                    for out in &mut staged_out {
-                                        for v in out.iter_mut() {
-                                            *v = st.apply(*v);
-                                        }
-                                    }
-                                    for v in sink_buf[sink_fire_mark..].iter_mut() {
-                                        *v = st.apply(*v);
-                                    }
-                                }
-                                for pert in f.perturbations {
-                                    apply_perturbation(&mut staged_out, pert, injector.rng_mut());
-                                }
-                                for _ in 0..f.addressing {
-                                    par_addressing_fault(
-                                        &mut in_ports,
-                                        &mut out_ports,
-                                        &mut staged_in,
-                                        &mut staged_out,
-                                        &mut injector,
-                                        &mut guard,
-                                        headers_unprotected,
-                                    );
-                                }
-                                for _ in 0..f.pointer_hits {
-                                    par_pointer_fault(
-                                        &mut in_ports,
-                                        &mut out_ports,
-                                        &mut staged_in,
-                                        &mut staged_out,
-                                        &mut injector,
-                                    );
-                                }
-                                for _ in 0..f.header_hits {
-                                    par_header_fault(
-                                        &mut in_ports,
-                                        &mut out_ports,
-                                        &mut staged_in,
-                                        &mut staged_out,
-                                        &mut injector,
-                                    );
-                                }
-                            }
-                            // Guarded runs enforce the static rate before
-                            // anything reaches the wire; a violated firing
-                            // (control perturbation) re-executes the frame.
-                            if errors_on && guard.is_enabled() {
-                                let rate_ok = staged_out
-                                    .iter()
-                                    .zip(&push_rates)
-                                    .all(|(b, &r)| b.len() == r as usize);
-                                if !rate_ok {
-                                    fail = Some(FrameFail::Retryable);
-                                    break 'firings;
-                                }
-                            }
-                            // Push outputs, skipping whatever an earlier
-                            // attempt of this frame already committed.
-                            for (port, &e) in out_edges.iter().enumerate() {
-                                let buf = &staged_out[port];
-                                let before = produced[port];
-                                produced[port] += buf.len();
-                                let mut pos = committed[port].saturating_sub(before).min(buf.len());
-                                while pos < buf.len() {
-                                    let end = buf.len().min(pos.saturating_add(chunk_limit));
-                                    let w0 = probe.wait_begin();
-                                    let pushed = out_ports[port].produce(|q| {
-                                        let got = guard.push_batch(port, q, &buf[pos..end]);
-                                        (got > 0).then_some(got)
-                                    });
-                                    probe.wait_end(w0);
-                                    match pushed {
-                                        Ok(got) => {
-                                            pos += got;
-                                            committed[port] += got;
-                                        }
-                                        Err(w) => {
-                                            if !recovery {
-                                                return Err(stall_error(
-                                                    &name,
-                                                    "pushing items",
-                                                    &edge_labels[e.index()],
-                                                    w,
-                                                ));
-                                            }
-                                            if matches!(w, WaitError::TimedOut) {
-                                                timeouts += 1;
-                                            }
-                                            // Never hang: force the rest of
-                                            // this firing's output out.
-                                            out_ports[port].with(|q| {
-                                                for &v in &buf[pos..] {
-                                                    guard.timeout_push(port, q, v);
-                                                }
-                                            });
-                                            committed[port] += buf.len() - pos;
-                                            pos = buf.len();
-                                        }
-                                    }
-                                }
-                            }
-                            for b in &mut staged_out {
-                                b.clear();
-                            }
-                            for b in &mut staged_in {
-                                b.clear();
-                            }
-                        }
-                        let Some(why) = fail else {
-                            break 'attempts; // frame committed
-                        };
-                        // Deadline-aware re-budgeting: a retry is only
-                        // worth its time when the frame's remaining slack
-                        // can still cover a re-execution, estimated by the
-                        // cost of the attempt that just failed. Pacing off
-                        // means infinite slack, reducing this to the pure
-                        // attempt budget.
-                        let retry_fits = !paced_on || {
-                            let attempt_cost = pace.now().saturating_sub(attempt_start).max(1);
-                            pace.slack(frame) > attempt_cost
-                        };
-                        if why == FrameFail::Retryable && attempt < retry_budget {
-                            if retry_fits {
-                                attempt += 1;
-                                retries += 1;
-                                if wtracer.is_enabled() {
-                                    wtracer.set_context(core_id, frame, guard.active_fc());
-                                    wtracer.emit(Event::FrameRetry {
-                                        frame: guard.active_fc(),
-                                        attempt,
-                                    });
-                                }
-                                continue 'attempts;
-                            }
-                            // Slack can no longer cover a re-execution:
-                            // skip the rest of the retry budget and take
-                            // the degrade rung now, making the deadline
-                            // instead of blowing it on doomed retries.
-                            deadline_cut = true;
-                        }
-                        // Budget exhausted (or the peer is gone, or the
-                        // deadline ladder cut in): discharge the frame's
-                        // remaining obligations and advance.
-                        degrades += 1;
-                        if deadline_cut {
-                            deadline_degrades += 1;
-                        }
-                        if wtracer.is_enabled() {
-                            wtracer.set_context(core_id, frame, guard.active_fc());
-                            wtracer.emit(Event::FrameDegraded {
-                                frame: guard.active_fc(),
-                            });
-                        }
-                        for port in 0..out_edges.len() {
-                            let owed = (reps as usize * push_rates[port] as usize)
-                                .saturating_sub(committed[port]);
-                            if owed > 0 {
-                                out_ports[port].with(|q| {
-                                    for _ in 0..owed {
-                                        guard.timeout_push(port, q, 0);
-                                    }
-                                });
-                                committed[port] += owed;
-                            }
-                        }
-                        if kind == NodeKind::Sink {
-                            let per_frame: usize =
-                                pop_rates.iter().map(|&r| r as usize).sum::<usize>()
-                                    * reps as usize;
-                            sink_buf.truncate(sink_mark);
-                            sink_buf.resize(sink_mark + per_frame, 0);
-                        }
-                        for b in &mut staged_in {
-                            b.clear();
-                        }
-                        for b in &mut staged_out {
-                            b.clear();
-                        }
-                        break 'attempts;
-                    }
-                    // Deadline accounting happens where the frame becomes
-                    // externally visible: the sink's commit. Degraded
-                    // frames count too — a pad that lands on time is an
-                    // on-time (if lossy) frame, which is the entire point
-                    // of the degrade-don't-stall ladder.
-                    if kind == NodeKind::Sink {
-                        if let Some(acc) = pace_acc.as_mut() {
-                            acc.record_commit(
-                                config.pacing.release(frame),
-                                config.pacing.deadline_for(frame),
-                                pace.now(),
-                            );
-                        }
-                    }
-                    if probe.is_enabled() {
-                        // Consumer-side sample: occupancy high-water and
-                        // cumulative ECC activity over this node's in-edges.
-                        let mut occ = 0u64;
-                        let (mut det, mut corr) = (0u64, 0u64);
-                        for p in &mut in_ports {
-                            p.with(|q| {
-                                occ = occ.max(u64::from(q.occupancy()));
-                                let e = q.stats().ecc;
-                                det += e.detections;
-                                corr += e.corrections;
-                            });
-                        }
-                        probe.ecc_sample(det, corr);
-                        probe.frame_commit(
-                            occ,
-                            retries - frame_retries0,
-                            degrades - frame_degrades0,
-                        );
-                    }
-                }
-                guard.finish();
-                // Drain the end-of-computation header. With the consumer
-                // gone and the queue full this used to spin forever; the
-                // condvar wait is bounded, a dead peer is an error naming
-                // the stuck edge, and under recovery the header is forced.
-                for (port, &e) in out_edges.iter().enumerate() {
-                    let w0 = probe.wait_begin();
-                    let drained = out_ports[port].produce(|q| guard.hi_tick(port, q).then_some(()));
-                    probe.wait_end(w0);
-                    if let Err(w) = drained {
-                        if !recovery {
-                            return Err(stall_error(
-                                &name,
-                                "draining the end header",
-                                &edge_labels[e.index()],
-                                w,
-                            ));
-                        }
-                        if matches!(w, WaitError::TimedOut) {
-                            timeouts += 1;
-                        }
-                        out_ports[port].with(|q| {
-                            if !guard.hi_tick(port, q) {
-                                guard.hi_force(port, q);
-                            }
-                        });
-                    }
-                    out_ports[port].with(SimQueue::flush);
-                }
-                let frames_done = frames;
-                Ok(ThreadResult {
-                    node: id,
-                    in_edges: in_edges.clone(),
-                    report: NodeReport {
-                        name,
-                        instructions,
-                        firings: reps * frames,
-                        frames: frames_done,
-                        instructions_per_frame: if frames_done > 0 {
-                            instructions as f64 / frames_done as f64
-                        } else {
-                            0.0
-                        },
-                        subops: guard.into_subops(),
-                        faults: *injector.stats(),
-                        timeouts,
-                        max_queue_occupancy: 0,
-                    },
-                    sink: if kind == NodeKind::Sink {
-                        Some(sink_buf)
-                    } else {
-                        None
-                    },
-                    retries,
-                    degrades,
-                    probe,
-                    pace: pace_acc.map(|mut acc| {
-                        acc.degraded_for_deadline = deadline_degrades;
-                        acc
-                    }),
-                })
+            let ports = Ports {
+                inputs: node
+                    .inputs()
+                    .iter()
+                    .map(|e| consumers[e.index()].take().expect("one consumer per edge"))
+                    .collect(),
+                outputs: node
+                    .outputs()
+                    .iter()
+                    .map(|e| producers[e.index()].take().expect("one producer per edge"))
+                    .collect(),
             };
+            let probe = telem.probe(id.index() as u32, node.name());
+            let work = works[id.index()].take();
+            let (ctx, schedule) = (&ctx, &schedule);
+            // Built on its own thread, so the worker's frame buffers come
+            // from that thread's allocator arena rather than sitting next
+            // to its neighbours' on the spawning thread's heap.
+            let worker = move || Worker::new(ctx, schedule, id, ports, work, probe).run();
             handles.push((node.name().to_string(), scope.spawn(worker)));
         }
         for (name, h) in handles {
@@ -1062,13 +257,27 @@ pub fn run_parallel_with(
     if let Some(e) = errors.into_iter().next() {
         return Err(e);
     }
+    // All workers have joined, so endpoint drops have merged their view
+    // stats into the per-edge handles.
+    let edge_stats: Vec<QueueStats> = edge_stats.iter().map(SpscStats::read).collect();
+    Ok(assemble_report(&ctx, &telem, &edge_stats, results))
+}
 
+/// Folds the joined workers' results and the per-edge traffic into the
+/// run report.
+fn assemble_report(
+    ctx: &RunCtx<'_>,
+    telem: &Telemetry,
+    edge_stats: &[QueueStats],
+    mut results: Vec<ThreadResult>,
+) -> RunReport {
+    let (config, tracer) = (ctx.config, &ctx.tracer);
     tracer.set_context(MACHINE_CORE, config.frames, 0);
     tracer.emit(Event::RunEnd { completed: true });
 
     results.sort_by_key(|r| r.node.index());
     let mut report = RunReport {
-        app: graph.name().to_string(),
+        app: ctx.graph.name().to_string(),
         // No scheduler rounds exist on real threads; the closest
         // equivalent unit of progress is the steady-state frame.
         rounds: config.frames,
@@ -1077,14 +286,7 @@ pub fn run_parallel_with(
         ..Default::default()
     };
     let mut wd = WatchdogStats::default();
-    // All workers have joined, so lock-free endpoint drops have merged
-    // their view stats into the per-edge handles.
-    let edge_stats: Vec<QueueStats> = if lock_free {
-        lf_stats.iter().map(SpscStats::read).collect()
-    } else {
-        queues.iter().map(|q| q.with(|q| *q.stats())).collect()
-    };
-    for s in &edge_stats {
+    for s in edge_stats {
         report.queues += *s;
     }
     let mut probes = Vec::with_capacity(results.len());
@@ -1094,8 +296,10 @@ pub fn run_parallel_with(
             acc.merge(p);
         }
         // Consumer-side attribution, matching the deterministic executor.
-        r.report.max_queue_occupancy = r
-            .in_edges
+        r.report.max_queue_occupancy = ctx
+            .graph
+            .node(r.node)
+            .inputs()
             .iter()
             .map(|&e| edge_stats[e.index()].max_occupancy)
             .max()
@@ -1112,7 +316,474 @@ pub fn run_parallel_with(
     report.watchdog = wd;
     report.telemetry = telem.finish(probes, crate::exec::run_counters(config.frames, &report));
     report.pacing = pacing_report;
-    Ok(report)
+    report
+}
+
+impl<'a> Worker<'a> {
+    fn new(
+        ctx: &'a RunCtx<'a>,
+        schedule: &Schedule,
+        id: NodeId,
+        ports: Ports,
+        work: Option<Box<dyn WorkFn>>,
+        probe: CoreProbe,
+    ) -> Self {
+        let (config, graph) = (ctx.config, ctx.graph);
+        let node = graph.node(id);
+        let (ins, outs) = (node.inputs().len(), node.outputs().len());
+        Worker {
+            ctx,
+            id,
+            kind: node.kind(),
+            cost: *node.cost(),
+            reps: schedule.repetitions(id),
+            pop_rates: node
+                .inputs()
+                .iter()
+                .map(|&e| graph.edge(e).pop_rate())
+                .collect(),
+            push_rates: node
+                .outputs()
+                .iter()
+                .map(|&e| graph.edge(e).push_rate())
+                .collect(),
+            ports,
+            work,
+            guard: config.core_guard(ins, outs),
+            injector: config.core_injector(id.index() as u64),
+            stuck: None,
+            probe,
+            staged_in: vec![Vec::new(); ins],
+            staged_out: vec![Vec::new(); outs],
+            input_log: vec![Vec::new(); ins],
+            replayed: vec![0; ins],
+            committed: vec![0; outs],
+            sink_buf: Vec::new(),
+            instructions: 0,
+            timeouts: 0,
+            retries: 0,
+            degrades: 0,
+            deadline_degrades: 0,
+            pace_acc: PacingReport::for_pacing(config.pacing, "us"),
+        }
+    }
+
+    /// The worker's whole life: every frame through the recovery ladder,
+    /// then the end-of-computation header.
+    fn run(mut self) -> Result<ThreadResult, RunError> {
+        self.guard.start();
+        for frame in 0..self.ctx.config.frames {
+            // Paced sources release frames on the period schedule
+            // (sleeping *before* the telemetry frame opens, so pacing
+            // idle never counts as frame latency); every other node paces
+            // naturally on data arrival.
+            if self.kind == NodeKind::Source {
+                self.ctx.pace.wait_release(frame);
+            }
+            // Open the telemetry frame before the boundary flush so no
+            // wall time goes unattributed.
+            self.probe.frame_start();
+            let (retries0, degrades0) = (self.retries, self.degrades);
+            if frame > 0 {
+                for p in &mut self.ports.outputs {
+                    p.with(SimQueue::flush);
+                }
+                self.guard.scope_boundary();
+            }
+            self.drain_headers("draining headers", false)?;
+            self.run_frame(frame)?;
+            self.commit_frame(frame, retries0, degrades0);
+        }
+        self.guard.finish();
+        // With the consumer gone and the queue full this drain used to
+        // spin forever; the wait is bounded, a dead peer is an error
+        // naming the stuck edge, and under recovery the header is forced.
+        self.drain_headers("draining the end header", true)?;
+        Ok(self.into_result())
+    }
+
+    /// Drains every out-port's pending header, blocking on full queues;
+    /// under recovery a stalled drain is forced so the next boundary finds
+    /// the port clear. `flush` publishes each port right after its drain.
+    fn drain_headers(&mut self, action: &str, flush: bool) -> Result<(), RunError> {
+        for port in 0..self.push_rates.len() {
+            let out = &mut self.ports.outputs[port];
+            let guard = &mut self.guard;
+            let w0 = self.probe.wait_begin();
+            let drained = out.produce(|q| guard.hi_tick(port, q).then_some(()));
+            self.probe.wait_end(w0);
+            if let Err(w) = drained {
+                if !self.ctx.recovery {
+                    return Err(self.stall_error(action, self.out_edge(port), w));
+                }
+                if matches!(w, WaitError::TimedOut) {
+                    self.timeouts += 1;
+                }
+                out.with(|q| {
+                    if !guard.hi_tick(port, q) {
+                        guard.hi_force(port, q);
+                    }
+                });
+            }
+            if flush {
+                out.with(SimQueue::flush);
+            }
+        }
+        Ok(())
+    }
+
+    /// Runs `frame` to its commit: checkpoint, attempts, and — once the
+    /// retry budget or the deadline rules retries out — the degrade rung.
+    fn run_frame(&mut self, frame: u64) -> Result<(), RunError> {
+        let ctx = self.ctx;
+        let paced_on = ctx.config.pacing.is_paced();
+        // Frame checkpoint: everything a retry must restore.
+        let sink_mark = self.sink_buf.len();
+        for log in &mut self.input_log {
+            log.clear();
+        }
+        self.committed.fill(0);
+        let mut attempt: u32 = 0;
+        let mut deadline_cut = false;
+        loop {
+            let attempt_start = if paced_on { ctx.pace.now() } else { 0 };
+            self.sink_buf.truncate(sink_mark);
+            self.replayed.fill(0);
+            self.clear_staged();
+            // Overload shedding: a frame already past its deadline cannot
+            // land on time no matter what — discharge it through the
+            // degrade rung below without executing (or blocking on)
+            // anything, so the source is never back-pressured into
+            // stalling.
+            let fail = if ctx.recovery && ctx.pace.hopeless(frame) {
+                deadline_cut = true;
+                Some(FrameFail::Terminal)
+            } else {
+                // How much of each port's output this attempt produced.
+                let mut produced = vec![0; self.push_rates.len()];
+                self.attempt_frame(&mut produced)?
+            };
+            let Some(why) = fail else {
+                return Ok(()); // frame committed
+            };
+            // Deadline-aware re-budgeting: a retry is only worth its time
+            // when the frame's remaining slack can still cover a
+            // re-execution, estimated by the cost of the attempt that just
+            // failed. Pacing off means infinite slack, reducing this to
+            // the pure attempt budget.
+            let retry_fits = !paced_on || {
+                let attempt_cost = ctx.pace.now().saturating_sub(attempt_start).max(1);
+                ctx.pace.slack(frame) > attempt_cost
+            };
+            if why == FrameFail::Retryable && attempt < ctx.config.par_retry_budget {
+                if retry_fits {
+                    attempt += 1;
+                    self.retries += 1;
+                    if ctx.tracer.is_enabled() {
+                        ctx.tracer
+                            .set_context(self.core(), frame, self.guard.active_fc());
+                        ctx.tracer.emit(Event::FrameRetry {
+                            frame: self.guard.active_fc(),
+                            attempt,
+                        });
+                    }
+                    continue;
+                }
+                // Slack can no longer cover a re-execution: skip the rest
+                // of the retry budget and take the degrade rung now,
+                // making the deadline instead of blowing it on doomed
+                // retries.
+                deadline_cut = true;
+            }
+            // Budget exhausted (or the peer is gone, or the deadline
+            // ladder cut in): discharge the frame's remaining obligations
+            // and advance.
+            self.degrade(frame, sink_mark, deadline_cut);
+            return Ok(());
+        }
+    }
+
+    /// One attempt at the frame's firings: pop, fire, rate check, push.
+    /// `Ok(None)` when every firing committed.
+    fn attempt_frame(&mut self, produced: &mut [usize]) -> Result<Option<FrameFail>, RunError> {
+        for _ in 0..self.reps {
+            if let Some(fail) = self.pop_inputs()? {
+                return Ok(Some(fail));
+            }
+            self.fire();
+            // Guarded runs enforce the static rate before anything reaches
+            // the wire; a violated firing (control perturbation)
+            // re-executes the frame.
+            if self.ctx.recovery && self.guard.is_enabled() {
+                let rate_ok = self
+                    .staged_out
+                    .iter()
+                    .zip(&self.push_rates)
+                    .all(|(b, &r)| b.len() == r as usize);
+                if !rate_ok {
+                    return Ok(Some(FrameFail::Retryable));
+                }
+            }
+            self.push_outputs(produced)?;
+            self.clear_staged();
+        }
+        Ok(None)
+    }
+
+    /// Stages one firing's inputs: the frame's replay log first, then live
+    /// pops. Live pops are logged even when a pop fails part-way, so a
+    /// retry replays them without touching the queue (or AM).
+    fn pop_inputs(&mut self) -> Result<Option<FrameFail>, RunError> {
+        let recovery = self.ctx.recovery;
+        for port in 0..self.pop_rates.len() {
+            let need = self.pop_rates[port] as usize;
+            let (stage, log) = (&mut self.staged_in[port], &mut self.input_log[port]);
+            if recovery {
+                let from = self.replayed[port];
+                let take = (log.len() - from).min(need);
+                stage.extend_from_slice(&log[from..from + take]);
+                self.replayed[port] += take;
+            }
+            let live_from = stage.len();
+            let mut fail = None;
+            while stage.len() < need {
+                let max = need - stage.len();
+                let guard = &mut self.guard;
+                let w0 = self.probe.wait_begin();
+                let popped = self.ports.inputs[port].consume(|q| {
+                    let got = guard.pop_batch(port, q, stage, max);
+                    (got > 0).then_some(())
+                });
+                self.probe.wait_end(w0);
+                if let Err(w) = popped {
+                    if !recovery {
+                        let edge = self.ctx.graph.node(self.id).inputs()[port];
+                        return Err(self.stall_error("popping items", edge, w));
+                    }
+                    fail = Some(match w {
+                        WaitError::TimedOut => {
+                            self.timeouts += 1;
+                            FrameFail::Retryable
+                        }
+                        WaitError::PeerClosed => FrameFail::Terminal,
+                    });
+                    break;
+                }
+            }
+            if recovery {
+                log.extend_from_slice(&stage[live_from..]);
+                self.replayed[port] = log.len();
+            }
+            if fail.is_some() {
+                return Ok(fail);
+            }
+        }
+        Ok(None)
+    }
+
+    /// Charges the firing's instructions, collects its fault events (same
+    /// pacing as the deterministic executor) and runs the firing body.
+    fn fire(&mut self) {
+        let items_moved: u64 = self.pop_rates.iter().map(|&r| u64::from(r)).sum::<u64>()
+            + self.push_rates.iter().map(|&r| u64::from(r)).sum::<u64>();
+        let instr = self.cost.firing_cost(items_moved);
+        self.instructions += instr;
+        let config = self.ctx.config;
+        let faults = firing_faults(
+            config.fault_class,
+            &mut self.injector,
+            &mut self.stuck,
+            instr,
+        );
+        let mut firing = Firing {
+            kind: self.kind,
+            push_rates: &self.push_rates,
+            work: &mut self.work,
+            staged_in: &mut self.staged_in,
+            staged_out: &mut self.staged_out,
+            sink_buf: &mut self.sink_buf,
+        };
+        match faults {
+            None => firing.compute(),
+            Some(faults) => firing.run_faulted(
+                faults,
+                Strike {
+                    injector: &mut self.injector,
+                    stuck: self.stuck,
+                    queues: &mut self.ports,
+                    protection: config.protection,
+                    guard: Some(&mut self.guard),
+                },
+            ),
+        }
+    }
+
+    /// Pushes the firing's outputs, skipping whatever an earlier attempt
+    /// of this frame already committed. Under recovery a stalled push
+    /// forces the rest of the firing's output out: never hang.
+    fn push_outputs(&mut self, produced: &mut [usize]) -> Result<(), RunError> {
+        for (port, produced) in produced.iter_mut().enumerate() {
+            let buf = &self.staged_out[port];
+            let before = *produced;
+            *produced += buf.len();
+            let mut pos = self.committed[port].saturating_sub(before).min(buf.len());
+            while pos < buf.len() {
+                let out = &mut self.ports.outputs[port];
+                let guard = &mut self.guard;
+                let w0 = self.probe.wait_begin();
+                let pushed = out.produce(|q| {
+                    let got = guard.push_batch(port, q, &buf[pos..]);
+                    (got > 0).then_some(got)
+                });
+                self.probe.wait_end(w0);
+                match pushed {
+                    Ok(got) => {
+                        pos += got;
+                        self.committed[port] += got;
+                    }
+                    Err(w) => {
+                        if !self.ctx.recovery {
+                            return Err(self.stall_error("pushing items", self.out_edge(port), w));
+                        }
+                        if matches!(w, WaitError::TimedOut) {
+                            self.timeouts += 1;
+                        }
+                        out.with(|q| {
+                            for &v in &buf[pos..] {
+                                guard.timeout_push(port, q, v);
+                            }
+                        });
+                        self.committed[port] += buf.len() - pos;
+                        pos = buf.len();
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The degrade rung: force-pushes the balance of the frame's output
+    /// rate as zeros, pads a sink's collected output to the frame, and
+    /// leaves the worker at the next boundary.
+    fn degrade(&mut self, frame: u64, sink_mark: usize, deadline_cut: bool) {
+        self.degrades += 1;
+        if deadline_cut {
+            self.deadline_degrades += 1;
+        }
+        let tracer = &self.ctx.tracer;
+        if tracer.is_enabled() {
+            tracer.set_context(self.core(), frame, self.guard.active_fc());
+            tracer.emit(Event::FrameDegraded {
+                frame: self.guard.active_fc(),
+            });
+        }
+        let reps = self.reps as usize;
+        for port in 0..self.push_rates.len() {
+            let owed = (reps * self.push_rates[port] as usize).saturating_sub(self.committed[port]);
+            if owed > 0 {
+                let guard = &mut self.guard;
+                self.ports.outputs[port].with(|q| {
+                    for _ in 0..owed {
+                        guard.timeout_push(port, q, 0);
+                    }
+                });
+                self.committed[port] += owed;
+            }
+        }
+        if self.kind == NodeKind::Sink {
+            let per_frame = self.pop_rates.iter().map(|&r| r as usize).sum::<usize>() * reps;
+            self.sink_buf.truncate(sink_mark);
+            self.sink_buf.resize(sink_mark + per_frame, 0);
+        }
+        self.clear_staged();
+    }
+
+    /// Frame commit: deadline accounting and the telemetry sample.
+    fn commit_frame(&mut self, frame: u64, retries0: u64, degrades0: u64) {
+        // Deadline accounting happens where the frame becomes externally
+        // visible: the sink's commit. Degraded frames count too — a pad
+        // that lands on time is an on-time (if lossy) frame, which is the
+        // entire point of the degrade-don't-stall ladder.
+        if self.kind == NodeKind::Sink {
+            if let Some(acc) = self.pace_acc.as_mut() {
+                let pacing = self.ctx.config.pacing;
+                acc.record_commit(
+                    pacing.release(frame),
+                    pacing.deadline_for(frame),
+                    self.ctx.pace.now(),
+                );
+            }
+        }
+        if self.probe.is_enabled() {
+            // Consumer-side sample: occupancy high-water and cumulative ECC
+            // activity over this node's in-edges.
+            let mut occ = 0u64;
+            let (mut det, mut corr) = (0u64, 0u64);
+            for p in &mut self.ports.inputs {
+                p.with(|q| {
+                    occ = occ.max(u64::from(q.occupancy()));
+                    let e = q.stats().ecc;
+                    det += e.detections;
+                    corr += e.corrections;
+                });
+            }
+            self.probe.ecc_sample(det, corr);
+            self.probe
+                .frame_commit(occ, self.retries - retries0, self.degrades - degrades0);
+        }
+    }
+
+    fn clear_staged(&mut self) {
+        for b in self.staged_in.iter_mut().chain(&mut self.staged_out) {
+            b.clear();
+        }
+    }
+
+    fn core(&self) -> u32 {
+        self.id.index() as u32
+    }
+
+    fn out_edge(&self, port: usize) -> EdgeId {
+        self.ctx.graph.node(self.id).outputs()[port]
+    }
+
+    /// The hard error of an error-free run whose blocking operation on
+    /// `edge` gave up.
+    fn stall_error(&self, action: &str, edge: EdgeId, err: WaitError) -> RunError {
+        let node = self.ctx.graph.node(self.id).name();
+        let edge = edge_label(self.ctx.graph, edge);
+        RunError::Parallel(format!("node '{node}' {action} on edge {edge}: {err}"))
+    }
+
+    fn into_result(self) -> ThreadResult {
+        let frames = self.ctx.config.frames;
+        ThreadResult {
+            node: self.id,
+            report: NodeReport {
+                name: self.ctx.graph.node(self.id).name().to_string(),
+                instructions: self.instructions,
+                firings: self.reps * frames,
+                frames,
+                instructions_per_frame: if frames > 0 {
+                    self.instructions as f64 / frames as f64
+                } else {
+                    0.0
+                },
+                subops: self.guard.into_subops(),
+                faults: *self.injector.stats(),
+                timeouts: self.timeouts,
+                max_queue_occupancy: 0,
+            },
+            sink: (self.kind == NodeKind::Sink).then_some(self.sink_buf),
+            retries: self.retries,
+            degrades: self.degrades,
+            probe: self.probe,
+            pace: self.pace_acc.map(|mut acc| {
+                acc.degraded_for_deadline = self.deadline_degrades;
+                acc
+            }),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1172,6 +843,7 @@ mod tests {
         let (p, _) = program();
         let got = run_parallel(p, &cfg).unwrap();
         assert_eq!(got.sink_output(sink), want.sink_output(sink));
+        assert_eq!(got.queues.item_pushes, want.queues.item_pushes);
         assert_eq!(
             got.queues.header_pushes, want.queues.header_pushes,
             "same header traffic either way"
@@ -1236,45 +908,12 @@ mod tests {
         assert_eq!(pr.latency.count(), FRAMES);
     }
 
-    #[test]
-    fn per_item_transport_matches_batched() {
-        let cfg = SimConfig {
-            protection: Protection::commguard(),
-            inject: false,
-            ..SimConfig::error_free(50)
-        };
-        let (p, sink) = program();
-        let batched = run_parallel_with(p, &cfg, ParTransport::Batched).unwrap();
-        let (p, _) = program();
-        let per_item = run_parallel_with(p, &cfg, ParTransport::PerItem).unwrap();
-        assert_eq!(batched.sink_output(sink), per_item.sink_output(sink));
-        assert_eq!(batched.queues.item_pushes, per_item.queues.item_pushes);
-        assert_eq!(batched.queues.header_pushes, per_item.queues.header_pushes);
-    }
-
-    #[test]
-    fn lock_free_transport_matches_batched() {
-        let cfg = SimConfig {
-            protection: Protection::commguard(),
-            inject: false,
-            ..SimConfig::error_free(50)
-        };
-        let (p, sink) = program();
-        let batched = run_parallel_with(p, &cfg, ParTransport::Batched).unwrap();
-        let (p, _) = program();
-        let lock_free = run_parallel_with(p, &cfg, ParTransport::LockFree).unwrap();
-        assert_eq!(batched.sink_output(sink), lock_free.sink_output(sink));
-        assert_eq!(batched.queues.item_pushes, lock_free.queues.item_pushes);
-        assert_eq!(batched.queues.header_pushes, lock_free.queues.header_pushes);
-        assert_eq!(batched.queues.header_pops, lock_free.queues.header_pops);
-    }
-
     /// Ten-seed bit-parity sweep for the zero-copy bulk paths: seeded
     /// pseudo-random data streams over per-seed queue geometries (firing
     /// rate, frame count, ring capacity — hence workset size and wrap
     /// cadence) must produce byte-identical sinks and conserved
-    /// item/header traffic on the batched and lock-free executors against
-    /// the deterministic golden run.
+    /// item/header traffic on the threaded executor against the
+    /// deterministic golden run.
     #[test]
     fn lock_free_bit_parity_across_seeds() {
         for seed in 1..=10u64 {
@@ -1310,42 +949,26 @@ mod tests {
             };
             let (p, sink) = build();
             let det = run(p, &cfg).unwrap();
-            for transport in [ParTransport::Batched, ParTransport::LockFree] {
-                let (p, _) = build();
-                let got = run_parallel_with(p, &cfg, transport).unwrap();
-                let label = transport.label();
-                assert_eq!(
-                    got.sink_output(sink),
-                    det.sink_output(sink),
-                    "seed {seed}: {label} sink diverged from deterministic"
-                );
-                assert_eq!(
-                    got.queues.item_pushes, det.queues.item_pushes,
-                    "seed {seed}: {label} item traffic"
-                );
-                assert_eq!(
-                    got.queues.header_pushes, det.queues.header_pushes,
-                    "seed {seed}: {label} header pushes"
-                );
-                assert_eq!(
-                    got.queues.header_pops, det.queues.header_pops,
-                    "seed {seed}: {label} header pops"
-                );
-            }
+            let (p, _) = build();
+            let got = run_parallel(p, &cfg).unwrap();
+            assert_eq!(
+                got.sink_output(sink),
+                det.sink_output(sink),
+                "seed {seed}: sink diverged from deterministic"
+            );
+            assert_eq!(
+                got.queues.item_pushes, det.queues.item_pushes,
+                "seed {seed}: item traffic"
+            );
+            assert_eq!(
+                got.queues.header_pushes, det.queues.header_pushes,
+                "seed {seed}: header pushes"
+            );
+            assert_eq!(
+                got.queues.header_pops, det.queues.header_pops,
+                "seed {seed}: header pops"
+            );
         }
-    }
-
-    #[test]
-    fn transport_labels_roundtrip_through_parse() {
-        for t in [
-            ParTransport::PerItem,
-            ParTransport::Batched,
-            ParTransport::LockFree,
-        ] {
-            assert_eq!(ParTransport::parse(t.label()), Some(t));
-        }
-        assert_eq!(ParTransport::parse("carrier-pigeon"), None);
-        assert_eq!(ParTransport::default(), ParTransport::LockFree);
     }
 
     /// The headline capability: faults injected inside worker threads, the
@@ -1370,23 +993,6 @@ mod tests {
         );
         // Every retry respects the per-frame budget on each of the 4 cores.
         assert!(report.watchdog.frame_retries <= u64::from(cfg.par_retry_budget) * cfg.frames * 4);
-    }
-
-    /// The opt-out: `ParFaults::Deny` restores the old hard rejection.
-    #[test]
-    fn deny_policy_rejects_error_injection() {
-        let (p, _) = program();
-        let cfg = SimConfig {
-            par_faults: ParFaults::Deny,
-            ..SimConfig::with_errors(
-                10,
-                Protection::PpuReliableQueue,
-                Mtbe::instructions(1000),
-                1,
-            )
-        };
-        let err = run_parallel(p, &cfg).unwrap_err();
-        assert!(matches!(err, RunError::BadEffectModel(_)), "got: {err}");
     }
 
     /// A worker that dies mid-stream (panicking filter) must surface as a

@@ -55,8 +55,9 @@ pub struct RunReport {
     /// Aggregated queue statistics over all edges.
     ///
     /// Under the threaded executor, `blocked_pushes`/`blocked_pops` count
-    /// real blocking episodes of the condvar transport (one failed
-    /// attempt per wait), not spin iterations.
+    /// every failed attempt inside the SPSC ring's spin-then-park wait,
+    /// spins included, so they grow with contention rather than with the
+    /// number of waits.
     pub queues: QueueStats,
     /// Collected sink streams, keyed by node index.
     pub sinks: BTreeMap<usize, Vec<u32>>,

@@ -186,18 +186,6 @@ impl Watchdog {
         }
     }
 
-    /// Records frame retries performed outside the round-driven ladder
-    /// (the threaded executor's recovery path).
-    pub fn note_frame_retries(&mut self, n: u64) {
-        self.stats.frame_retries += n;
-    }
-
-    /// Records frame degradations performed outside the round-driven
-    /// ladder (the threaded executor's budget-exhaustion path).
-    pub fn note_frame_degrades(&mut self, n: u64) {
-        self.stats.frame_degrades += n;
-    }
-
     /// Notes that something *outside* the ladder just degraded a frame
     /// (the deadline ladder's forced `DegradeFrame`), which IS progress:
     /// the stalled frame was discharged and the machine is on a fresh

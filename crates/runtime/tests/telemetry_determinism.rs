@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use cg_fault::Mtbe;
-use cg_runtime::{run, run_parallel_with, ParTransport, Program, SimConfig, TelemetryConfig};
+use cg_runtime::{run, run_parallel, Program, SimConfig, TelemetryConfig};
 use cg_telemetry::{from_jsonl, parse_prometheus, to_jsonl, to_prometheus};
 use commguard::graph::{GraphBuilder, NodeId, NodeKind};
 use commguard::Protection;
@@ -153,7 +153,7 @@ fn guarded_threaded_pipeline_meets_the_observability_contract() {
         ..SimConfig::error_free(frames)
     }
     .telemetry(TelemetryConfig::enabled());
-    let report = run_parallel_with(p, &cfg, ParTransport::LockFree).unwrap();
+    let report = run_parallel(p, &cfg).unwrap();
     assert!(report.completed);
     let t = report.telemetry.expect("telemetry was enabled");
     assert_eq!(t.clock_unit, "us");
@@ -199,7 +199,7 @@ fn threaded_faulty_run_reports_recovery_in_telemetry() {
         ..SimConfig::with_errors(16, Protection::commguard(), Mtbe::instructions(512), 3)
     }
     .telemetry(TelemetryConfig::enabled());
-    let report = run_parallel_with(p, &cfg, ParTransport::LockFree).unwrap();
+    let report = run_parallel(p, &cfg).unwrap();
     let t = report.telemetry.as_ref().expect("enabled");
     assert_eq!(t.run.faults_injected, report.total_faults().total());
     assert_eq!(t.run.frame_retries, report.watchdog.frame_retries);

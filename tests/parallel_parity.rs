@@ -10,7 +10,7 @@ use cg_apps::fft_app::FftApp;
 use cg_apps::jpeg::JpegApp;
 use cg_apps::mp3::Mp3App;
 use cg_apps::vocoder::VocoderApp;
-use cg_runtime::{run, run_parallel, run_parallel_with, ParTransport, Program, SimConfig};
+use cg_runtime::{run, run_parallel, Program, SimConfig};
 use commguard::graph::NodeId;
 use commguard::Protection;
 
@@ -85,35 +85,10 @@ fn whole_suite_parity_guarded() {
     suite_parity(Protection::commguard());
 }
 
-/// All three transports of the threaded executor agree with each other
-/// on a real app, guarded — neither the batch path nor the lock-free
-/// ring is a different computation.
-#[test]
-fn transports_agree_on_an_app() {
-    let app = FftApp::new(8);
-    let cfg = SimConfig {
-        protection: Protection::commguard(),
-        inject: false,
-        ..SimConfig::error_free(app.frames())
-    };
-    let (p, sink) = app.build();
-    let batched = run_parallel_with(p, &cfg, ParTransport::Batched).expect("batched");
-    let (p, _) = app.build();
-    let per_item = run_parallel_with(p, &cfg, ParTransport::PerItem).expect("per-item");
-    let (p, _) = app.build();
-    let lock_free = run_parallel_with(p, &cfg, ParTransport::LockFree).expect("lock-free");
-    assert_eq!(batched.sink_output(sink), per_item.sink_output(sink));
-    assert_eq!(batched.queues.header_pushes, per_item.queues.header_pushes);
-    assert_eq!(batched.queues.item_pops, per_item.queues.item_pops);
-    assert_eq!(batched.sink_output(sink), lock_free.sink_output(sink));
-    assert_eq!(batched.queues.header_pushes, lock_free.queues.header_pushes);
-    assert_eq!(batched.queues.item_pops, lock_free.queues.item_pops);
-}
-
 /// Bit-parity regression for the lock-free ring: across the whole app
-/// suite, guarded and unguarded, ten seeded repetitions of the lock-free
-/// transport must match the batched transport and the deterministic
-/// executor at the sink and in header traffic. The runs are error-free,
+/// suite, guarded and unguarded, ten seeded repetitions of the threaded
+/// executor must match the deterministic executor at the sink and in
+/// header and item traffic. The runs are error-free,
 /// so the seeds vary nothing *inside* the program — each repetition is a
 /// fresh OS-level thread interleaving, which is exactly the variable the
 /// lock-free cursors must be insensitive to.
@@ -159,19 +134,12 @@ fn lock_free_bit_parity_across_seeds() {
             for seed in 1..=SEEDS {
                 let cfg = base.clone().seed(seed);
                 let (p, _) = build();
-                let ba = run_parallel_with(p, &cfg, ParTransport::Batched).expect("batched");
-                let (p, _) = build();
-                let lf = run_parallel_with(p, &cfg, ParTransport::LockFree).expect("lock-free");
+                let lf = run_parallel(p, &cfg).expect("lock-free");
                 let tag = format!("{name} [{}] seed {seed}", protection.label());
                 assert_eq!(
                     lf.sink_output(sink),
                     want.sink_output(sink),
                     "{tag}: lock-free sink diverged from deterministic"
-                );
-                assert_eq!(
-                    lf.sink_output(sink),
-                    ba.sink_output(sink),
-                    "{tag}: lock-free sink diverged from batched"
                 );
                 assert_eq!(
                     lf.queues.header_pushes, want.queues.header_pushes,
@@ -184,10 +152,6 @@ fn lock_free_bit_parity_across_seeds() {
                 assert_eq!(
                     lf.queues.item_pushes, want.queues.item_pushes,
                     "{tag}: lock-free item pushes diverged"
-                );
-                assert_eq!(
-                    ba.queues.header_pushes, want.queues.header_pushes,
-                    "{tag}: batched header pushes diverged"
                 );
             }
         }
