@@ -133,94 +133,6 @@ impl RawCell {
     }
 }
 
-/// A fixed-size array of [`EccCell`]s sharing one stats block.
-///
-/// Models small reliable register groups such as the QIT entries of §5.5.
-#[derive(Debug, Clone, Default)]
-pub struct EccCellArray {
-    cells: Vec<EccCell>,
-}
-
-impl EccCellArray {
-    /// Creates `n` cells initialised to zero.
-    pub fn new(n: usize) -> Self {
-        EccCellArray {
-            cells: vec![EccCell::default(); n],
-        }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Returns `true` when the array holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Stores `value` at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn store(&mut self, idx: usize, value: u32, stats: &mut EccStats) {
-        self.cells[idx].store(value, stats);
-    }
-
-    /// Loads the value at `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn load(&self, idx: usize, stats: &mut EccStats) -> Option<u32> {
-        self.cells[idx].load(stats)
-    }
-
-    /// Fault-injection access to a cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn cell_mut(&mut self, idx: usize) -> &mut EccCell {
-        &mut self.cells[idx]
-    }
-
-    /// Stores `values` into the cells starting at `idx` via the batch
-    /// encoder, recording one `compute-ECC` per word (identical stats to a
-    /// per-cell [`EccCellArray::store`] loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx + values.len()` exceeds the array.
-    pub fn store_slice(&mut self, idx: usize, values: &[u32], stats: &mut EccStats) {
-        let cells = &mut self.cells[idx..idx + values.len()];
-        let mut cws = vec![Codeword::default(); values.len()];
-        *stats += crate::batch::encode_slice(values, &mut cws);
-        for (cell, cw) in cells.iter_mut().zip(cws) {
-            cell.stored = cw;
-        }
-    }
-
-    /// Loads `out.len()` values starting at `idx` via the batch decoder,
-    /// recording one `check-ECC` per word plus corrections/detections
-    /// (identical stats to a per-cell [`EccCellArray::load`] loop).
-    /// Uncorrectable cells yield `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx + out.len()` exceeds the array.
-    pub fn load_slice(&self, idx: usize, out: &mut [Option<u32>], stats: &mut EccStats) {
-        let cells = &self.cells[idx..idx + out.len()];
-        let cws: Vec<Codeword> = cells.iter().map(|c| c.stored).collect();
-        let mut decoded = vec![Decoded::Detected; out.len()];
-        *stats += crate::batch::decode_slice(&cws, &mut decoded);
-        for (o, d) in out.iter_mut().zip(decoded) {
-            *o = d.value();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,46 +184,5 @@ mod tests {
         let mut cell = RawCell::new(0);
         cell.inject_flip(31);
         assert_eq!(cell.load(), 0x8000_0000);
-    }
-
-    #[test]
-    fn cell_array_slice_ops_match_per_cell_loop() {
-        let values = [7u32, 0, u32::MAX, 0xDEAD_BEEF];
-        let mut batch_stats = EccStats::default();
-        let mut batched = EccCellArray::new(6);
-        batched.store_slice(1, &values, &mut batch_stats);
-
-        let mut loop_stats = EccStats::default();
-        let mut looped = EccCellArray::new(6);
-        for (i, &v) in values.iter().enumerate() {
-            looped.store(1 + i, v, &mut loop_stats);
-        }
-        assert_eq!(batch_stats, loop_stats);
-        for i in 0..values.len() {
-            assert_eq!(batched.cells[1 + i], looped.cells[1 + i]);
-        }
-
-        batched.cell_mut(2).inject_flip(4); // corrected on load
-        batched.cell_mut(3).inject_flip(1);
-        batched.cell_mut(3).inject_flip(9); // detected on load
-        let mut out = [None; 4];
-        batched.load_slice(1, &mut out, &mut batch_stats);
-        assert_eq!(out, [Some(7), Some(0), None, Some(0xDEAD_BEEF)]);
-        assert_eq!(batch_stats.checks, 4);
-        assert_eq!(batch_stats.corrections, 1);
-        assert_eq!(batch_stats.detections, 1);
-    }
-
-    #[test]
-    fn cell_array_roundtrip() {
-        let mut stats = EccStats::default();
-        let mut arr = EccCellArray::new(4);
-        assert_eq!(arr.len(), 4);
-        assert!(!arr.is_empty());
-        arr.store(2, 555, &mut stats);
-        assert_eq!(arr.load(2, &mut stats), Some(555));
-        arr.cell_mut(2).inject_flip(0);
-        assert_eq!(arr.load(2, &mut stats), Some(555));
-        assert_eq!(stats.corrections, 1);
     }
 }

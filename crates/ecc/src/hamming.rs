@@ -6,6 +6,13 @@
 //! ascending order. Bit 0 of the `u64` holds the overall (even) parity bit
 //! covering the whole 38-bit Hamming codeword, which upgrades the code from
 //! SEC to SECDED.
+//!
+//! The codec runs on const byte-plane tables: [`encode`] XORs four
+//! 256-entry planes (one per data byte) and [`decode`] XORs five syndrome
+//! planes (one per codeword byte). The planes are built at compile time
+//! from `encode_raw`, the popcount definition of the code, and the tests
+//! check them against a popcount decoder on every codeword within distance
+//! 3 of a set of words.
 
 /// Number of data bits protected by one codeword.
 pub const DATA_BITS: u32 = 32;
@@ -17,7 +24,7 @@ pub const CODEWORD_BITS: u32 = 39;
 const PARITY_BITS: u32 = 6;
 
 /// Mask selecting the 39 significant codeword bits.
-pub(crate) const CODEWORD_MASK: u64 = (1u64 << CODEWORD_BITS) - 1;
+const CODEWORD_MASK: u64 = (1u64 << CODEWORD_BITS) - 1;
 
 /// A SECDED-encoded 32-bit word.
 ///
@@ -141,13 +148,14 @@ const fn scatter(word: u32) -> u64 {
 
 /// Encodes a 32-bit word into a SECDED codeword.
 pub fn encode(word: u32) -> Codeword {
-    Codeword(encode_raw(word))
+    let w = word as usize;
+    Codeword(ENC[0][w & 0xFF] ^ ENC[1][w >> 8 & 0xFF] ^ ENC[2][w >> 16 & 0xFF] ^ ENC[3][w >> 24])
 }
 
-/// Const-evaluable encode body. The batch lookup planes in [`crate::batch`]
-/// are built by folding this function over single-byte words, so the table
-/// path is bit-exact against the scalar path by construction.
-pub(crate) const fn encode_raw(word: u32) -> u64 {
+/// Const-evaluable encode body, the definition of the code. The lookup
+/// planes [`ENC`] are built by folding it over single-byte words, so the
+/// table codec cannot drift from it.
+const fn encode_raw(word: u32) -> u64 {
     let mut cw = scatter(word);
     let mut k = 0;
     while k < PARITY_BITS as usize {
@@ -162,44 +170,89 @@ pub(crate) const fn encode_raw(word: u32) -> u64 {
     cw | overall // bit 0
 }
 
+/// Per-byte encode planes: `ENC[j][b]` is the codeword of data byte `j`
+/// holding value `b` with every other byte zero. Every codeword bit is a
+/// GF(2)-linear function of the data bits, so a word's codeword is the
+/// XOR of its four byte planes.
+static ENC: [[u64; 256]; 4] = build_enc();
+
+const fn build_enc() -> [[u64; 256]; 4] {
+    let mut t = [[0u64; 256]; 4];
+    let mut j = 0;
+    while j < 4 {
+        let mut b = 0;
+        while b < 256 {
+            t[j][b] = encode_raw((b as u32) << (8 * j as u32));
+            b += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
+/// Per-byte syndrome planes over the five codeword bytes: `SYN[j][b]` packs
+/// byte `j`'s contribution to the Hamming syndrome (low 6 bits) and to the
+/// overall parity (bit 6).
+static SYN: [[u8; 256]; 5] = build_syn();
+
+const fn build_syn() -> [[u8; 256]; 5] {
+    let mut t = [[0u8; 256]; 5];
+    let mut j = 0;
+    while j < 5 {
+        let mut b = 0;
+        while b < 256 {
+            let mut acc = 0u8;
+            let mut i = 0;
+            while i < 8 {
+                let pos = 8 * (j as u32) + i;
+                if pos < CODEWORD_BITS && (b >> i) & 1 == 1 {
+                    // Syndrome bit k is the parity over `PARITY_MASKS[k]`,
+                    // which covers exactly the positions with bit k set, so
+                    // XORing the position accumulates all six bits at once.
+                    acc ^= pos as u8;
+                    acc ^= 0x40; // overall parity counts every set bit
+                }
+                i += 1;
+            }
+            t[j][b] = acc;
+            b += 1;
+        }
+        j += 1;
+    }
+    t
+}
+
 /// Decodes a codeword, correcting single-bit errors and detecting doubles.
 ///
 /// Triple or worse errors may be miscorrected (inherent to SECDED codes).
 pub fn decode(cw: Codeword) -> Decoded {
     let bits = cw.0 & CODEWORD_MASK;
-    // Syndrome bit k = parity over mask k; each mask covers its own parity
-    // position (2^k has exactly bit k set), so the stored parity bit is
-    // already folded in and a clean word yields parity 0.
-    let mut syndrome: u32 = 0;
-    for (k, mask) in PARITY_MASKS.iter().enumerate() {
-        let p = (bits & mask).count_ones() & 1;
-        syndrome |= p << k;
-    }
-    let overall_ok = bits.count_ones().is_multiple_of(2);
-
-    let corrected_bits = match (syndrome, overall_ok) {
-        (0, true) => return Decoded::Clean(extract(bits)),
+    let b = bits as usize;
+    let t = SYN[0][b & 0xFF]
+        ^ SYN[1][b >> 8 & 0xFF]
+        ^ SYN[2][b >> 16 & 0xFF]
+        ^ SYN[3][b >> 24 & 0xFF]
+        ^ SYN[4][b >> 32 & 0xFF];
+    let syndrome = u32::from(t & 0x3F);
+    let overall_ok = t & 0x40 == 0;
+    match (syndrome, overall_ok) {
+        (0, true) => Decoded::Clean(extract(bits)),
         // Overall parity flipped but Hamming syndrome clean: the error hit
         // the overall parity bit itself. Data is intact.
-        (0, false) => return Decoded::Corrected(extract(bits)),
+        (0, false) => Decoded::Corrected(extract(bits)),
         // Non-zero syndrome with consistent overall parity: two-bit error.
-        (_, true) => return Decoded::Detected,
-        // Single-bit error at position `syndrome`.
-        (s, false) => {
-            if s > 38 {
-                // Syndrome points outside the codeword: uncorrectable.
-                return Decoded::Detected;
-            }
-            bits ^ (1u64 << s)
-        }
-    };
-    Decoded::Corrected(extract(corrected_bits))
+        (_, true) => Decoded::Detected,
+        // Syndrome points outside the codeword: uncorrectable.
+        (s, false) if s > 38 => Decoded::Detected,
+        // Single-bit error at position `s`.
+        (s, false) => Decoded::Corrected(extract(bits ^ (1u64 << s))),
+    }
 }
 
 /// Extracts the 32 data bits from a (corrected) codeword bit pattern
 /// (inverse of [`scatter`]).
 #[inline]
-pub(crate) fn extract(bits: u64) -> u32 {
+fn extract(bits: u64) -> u32 {
     ((bits >> 3 & 0x1)
         | (bits >> 5 & 0x7) << 1
         | (bits >> 9 & 0x7F) << 4
@@ -210,6 +263,100 @@ pub(crate) fn extract(bits: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Popcount decoder over `PARITY_MASKS`: the reference the table
+    /// [`decode`] is checked against.
+    fn decode_reference(cw: Codeword) -> Decoded {
+        let bits = cw.0 & CODEWORD_MASK;
+        let mut syndrome: u32 = 0;
+        for (k, mask) in PARITY_MASKS.iter().enumerate() {
+            syndrome |= ((bits & mask).count_ones() & 1) << k;
+        }
+        match (syndrome, bits.count_ones().is_multiple_of(2)) {
+            (0, true) => Decoded::Clean(extract(bits)),
+            (0, false) => Decoded::Corrected(extract(bits)),
+            (_, true) => Decoded::Detected,
+            (s, false) if s > 38 => Decoded::Detected,
+            (s, false) => Decoded::Corrected(extract(bits ^ (1u64 << s))),
+        }
+    }
+
+    /// Every single-byte word must encode identically through the planes
+    /// and `encode_raw`: exhaustive over the table domain, so together with
+    /// linearity it covers all 2^32 words.
+    #[test]
+    fn encode_planes_match_scalar_exhaustively_per_byte() {
+        for j in 0..4 {
+            for b in 0..=255u32 {
+                let w = b << (8 * j);
+                assert_eq!(encode(w).raw(), encode_raw(w), "byte {j} value {b:#x}");
+            }
+        }
+    }
+
+    /// Every codeword within Hamming distance 3 of `encode(w)` (clean, all
+    /// singles, all doubles, all triples: 9,920 patterns) decodes to the
+    /// same verdict and payload as the popcount reference, three-flip
+    /// mis-corrections included.
+    #[test]
+    fn decode_matches_reference_within_distance_3() {
+        for w in [0u32, 1, u32::MAX, 0xDEAD_BEEF, 0x0F0F_0F0F] {
+            let clean = encode(w).raw();
+            assert_eq!(clean, encode_raw(w), "word {w:#x}");
+            let mut patterns = 0;
+            for a in 0..=CODEWORD_BITS {
+                for b in a..=CODEWORD_BITS {
+                    for c in b..=CODEWORD_BITS {
+                        // Index CODEWORD_BITS stands for "no flip"; equal
+                        // indices below it would cancel, so skip them.
+                        let flips = [a, b, c];
+                        let real: Vec<u32> =
+                            flips.into_iter().filter(|&i| i < CODEWORD_BITS).collect();
+                        if real.windows(2).any(|p| p[0] == p[1]) {
+                            continue;
+                        }
+                        let cw = Codeword(real.iter().fold(clean, |acc, &i| acc ^ (1u64 << i)));
+                        assert_eq!(
+                            decode(cw),
+                            decode_reference(cw),
+                            "word {w:#x} flips {real:?}"
+                        );
+                        patterns += 1;
+                    }
+                }
+            }
+            assert_eq!(patterns, 9_920);
+        }
+    }
+
+    /// Full 64-bit random patterns (bits above the codeword included) give
+    /// the same encode and decode as the reference.
+    #[test]
+    fn codec_matches_reference_on_random_raw_patterns() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..1 << 20 {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let raw = z ^ (z >> 31);
+            let cw = Codeword::from_raw(raw);
+            assert_eq!(decode(cw), decode_reference(cw), "raw {raw:#x}");
+            assert_eq!(
+                encode(raw as u32).raw(),
+                encode_raw(raw as u32),
+                "word {raw:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_ignores_bits_above_codeword() {
+        let cw = encode(0x1234_5678);
+        let noisy = Codeword::from_raw(cw.raw() | 0xFFFF_FF80_0000_0000);
+        assert_eq!(decode(noisy), Decoded::Clean(0x1234_5678));
+    }
 
     #[test]
     fn scatter_matches_positional_reference() {

@@ -12,12 +12,6 @@
 //! parity bits and one overall parity bit, packed into a [`Codeword`]
 //! (a `u64` with 39 significant bits).
 //!
-//! Hot paths that move whole frames use the batch API —
-//! [`encode_slice`]/[`decode_slice`] — which folds the parity masks through
-//! the scatter permutation into compile-time lookup planes and returns one
-//! aggregated [`EccStats`] delta per batch (see `batch.rs` for the
-//! construction and the bit-exactness argument).
-//!
 //! ```
 //! use cg_ecc::{encode, decode, Decoded};
 //!
@@ -27,13 +21,11 @@
 //! assert_eq!(decode(corrupted), Decoded::Corrected(0xDEAD_BEEF));
 //! ```
 
-mod batch;
 mod cell;
 mod hamming;
 mod stats;
 
-pub use batch::{decode_slice, decode_slice_scalar, encode_slice, encode_slice_scalar};
-pub use cell::{EccCell, EccCellArray, RawCell};
+pub use cell::{EccCell, RawCell};
 pub use hamming::{decode, encode, Codeword, Decoded, CODEWORD_BITS, DATA_BITS};
 pub use stats::EccStats;
 

@@ -1,9 +1,6 @@
 //! Property tests for the SECDED implementation.
 
-use cg_ecc::{
-    decode, decode_slice, decode_slice_scalar, encode, encode_slice, encode_slice_scalar, Codeword,
-    Decoded, EccStats, CODEWORD_BITS,
-};
+use cg_ecc::{decode, encode, Decoded, CODEWORD_BITS};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,70 +32,66 @@ proptest! {
         prop_assert_ne!(encode(a), encode(b));
     }
 
-    /// The table-driven batch encoder is bit-exact against scalar encode
-    /// over random batches, and its aggregated stats delta equals the sum
-    /// of per-unit deltas.
+    /// `encode` is bit-exact against the textbook positional encoder below.
     #[test]
-    fn encode_slice_differential(words in proptest::collection::vec(any::<u32>(), 0..96)) {
-        let mut tabled = vec![Codeword::default(); words.len()];
-        let mut scalar = vec![Codeword::default(); words.len()];
-        let ts = encode_slice(&words, &mut tabled);
-        let ss = encode_slice_scalar(&words, &mut scalar);
-        prop_assert_eq!(&tabled, &scalar);
-        for (&w, &cw) in words.iter().zip(tabled.iter()) {
-            prop_assert_eq!(cw, encode(w));
-        }
-        prop_assert_eq!(ts, ss);
-        let mut per_unit = EccStats::default();
-        for _ in &words {
-            per_unit.computes += 1;
-        }
-        prop_assert_eq!(ts, per_unit);
+    fn encode_matches_reference(word: u32) {
+        prop_assert_eq!(encode(word).raw(), reference_encode(word));
     }
 
-    /// The table-driven batch decoder agrees with scalar decode — verdicts
-    /// (Clean/Corrected/Detected), corrected payloads, and aggregated
-    /// stats — over batches where each codeword carries 0..=2 random bit
-    /// flips.
+    /// `decode` agrees with the textbook positional decoder below, verdict
+    /// and payload, on a random word carrying 0, 1, 2 and 3 flips (`b1`,
+    /// `b2`, then every third bit), so three-flip mis-corrections must
+    /// match as well.
     #[test]
-    fn decode_slice_differential(
-        seeds in proptest::collection::vec(
-            (any::<u32>(), 0..=2usize, 0..CODEWORD_BITS, 0..CODEWORD_BITS),
-            0..96,
-        )
-    ) {
-        let cws: Vec<Codeword> = seeds
-            .iter()
-            .map(|&(w, flips, b1, b2)| {
-                let mut cw = encode(w);
-                if flips >= 1 {
-                    cw = cw.with_flipped_bit(b1);
-                }
-                if flips == 2 {
-                    cw = cw.with_flipped_bit(b2);
-                }
-                cw
-            })
-            .collect();
-        let mut tabled = vec![Decoded::Detected; cws.len()];
-        let mut scalar = vec![Decoded::Detected; cws.len()];
-        let ts = decode_slice(&cws, &mut tabled);
-        let ss = decode_slice_scalar(&cws, &mut scalar);
-        prop_assert_eq!(&tabled, &scalar);
-        for (&cw, &d) in cws.iter().zip(tabled.iter()) {
-            prop_assert_eq!(d, decode(cw));
+    fn decode_matches_reference(word: u32, b1 in 0..CODEWORD_BITS, b2 in 0..CODEWORD_BITS) {
+        let one = encode(word).with_flipped_bit(b1);
+        let two = one.with_flipped_bit(b2);
+        let three = (0..CODEWORD_BITS).map(|b3| two.with_flipped_bit(b3));
+        for cw in [encode(word), one, two].into_iter().chain(three) {
+            prop_assert_eq!(decode(cw), reference_decode(cw.raw()));
         }
-        prop_assert_eq!(ts, ss);
-        // Aggregated delta equals the fold of per-unit increments.
-        let mut per_unit = EccStats::default();
-        for &d in &scalar {
-            per_unit.checks += 1;
-            match d {
-                Decoded::Corrected(_) => per_unit.corrections += 1,
-                Decoded::Detected => per_unit.detections += 1,
-                Decoded::Clean(_) => {}
-            }
+    }
+}
+
+/// Codeword positions 1..=38 that hold data bits, in data-bit order.
+fn data_positions() -> impl Iterator<Item = u32> {
+    (1..CODEWORD_BITS).filter(|p| !p.is_power_of_two())
+}
+
+/// Hamming's definition: parity bit `2^k` makes the XOR of the positions of
+/// all set bits zero; bit 0 makes the total parity even.
+fn reference_encode(word: u32) -> u64 {
+    let mut cw = 0u64;
+    let mut syndrome = 0;
+    for (i, pos) in data_positions().enumerate() {
+        if word >> i & 1 == 1 {
+            cw |= 1 << pos;
+            syndrome ^= pos;
         }
-        prop_assert_eq!(ts, per_unit);
+    }
+    for k in 0..6 {
+        cw |= u64::from(syndrome >> k & 1) << (1 << k);
+    }
+    cw | u64::from(cw.count_ones() & 1)
+}
+
+/// The syndrome is the XOR of the positions of all set bits; with odd total
+/// parity it names the flipped position.
+fn reference_decode(raw: u64) -> Decoded {
+    let bits = raw & ((1 << CODEWORD_BITS) - 1);
+    let syndrome = (1..CODEWORD_BITS)
+        .filter(|&p| bits >> p & 1 == 1)
+        .fold(0, |s, p| s ^ p);
+    let data = |b: u64| {
+        data_positions()
+            .enumerate()
+            .fold(0u32, |w, (i, pos)| w | ((b >> pos & 1) as u32) << i)
+    };
+    match (syndrome, bits.count_ones().is_multiple_of(2)) {
+        (0, true) => Decoded::Clean(data(bits)),
+        (0, false) => Decoded::Corrected(data(bits)),
+        (_, true) => Decoded::Detected,
+        (s, false) if s >= CODEWORD_BITS => Decoded::Detected,
+        (s, false) => Decoded::Corrected(data(bits ^ 1 << s)),
     }
 }

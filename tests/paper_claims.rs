@@ -2,8 +2,10 @@
 //! reduced (test-friendly) scale. Each test cites the section it checks.
 
 use cg_apps::jpeg::JpegApp;
+use cg_apps::suite::{BenchApp, Size, Workload};
 use cg_fault::Mtbe;
-use cg_runtime::{estimate_overhead, run, MemModel, OverheadModel, SimConfig};
+use cg_runtime::{estimate_overhead, run, MemModel, OverheadModel, Program, RunReport, SimConfig};
+use commguard::graph::{GraphBuilder, NodeKind};
 use commguard::Protection;
 
 fn jpeg_run(protection: Protection, mtbe_k: u64, seed: u64) -> (cg_runtime::RunReport, JpegApp) {
@@ -127,4 +129,85 @@ fn figure2_rates() {
     let edge = g.node(f7).inputs()[0];
     assert_eq!(sched.items_per_iteration(edge), 15_360);
     assert_eq!(g.node_count(), 10);
+}
+
+/// Σ per-node committed instructions ÷ the busiest node's: the speedup the
+/// paper's one-core-per-node machine can reach on this graph, independent
+/// of the host running the test.
+fn modelled_speedup(report: &RunReport) -> f64 {
+    let busiest = report.nodes.iter().map(|n| n.instructions).max();
+    report.total_instructions() as f64 / busiest.expect("graph has nodes") as f64
+}
+
+fn guarded_error_free(frames: u64) -> SimConfig {
+    SimConfig {
+        protection: Protection::commguard(),
+        inject: false,
+        ..SimConfig::error_free(frames)
+    }
+}
+
+/// A 4-node pipeline moving 64 units per hop per firing with trivial
+/// filter work.
+fn pipeline4() -> Program {
+    const STAGES: usize = 4;
+    const RATE: u32 = 64;
+    let mut b = GraphBuilder::new("pipeline");
+    let ids: Vec<_> = (0..STAGES)
+        .map(|i| {
+            let kind = match i {
+                0 => NodeKind::Source,
+                i if i == STAGES - 1 => NodeKind::Sink,
+                _ => NodeKind::Filter,
+            };
+            b.add_node(format!("n{i}"), kind)
+        })
+        .collect();
+    b.pipeline(&ids, RATE).unwrap();
+    let mut p = Program::new(b.build().unwrap());
+    let mut next = 0u32;
+    p.set_source(ids[0], move |out| {
+        out.extend(next..next + RATE);
+        next = next.wrapping_add(RATE);
+    });
+    for &id in &ids[1..STAGES - 1] {
+        p.set_filter(id, |inp, out| {
+            out[0].extend(inp[0].iter().map(|&v| v.wrapping_mul(0x9E37_79B1)));
+        });
+    }
+    p
+}
+
+/// §6 maps one node per core, so a graph's parallelism is bounded by its
+/// busiest node. Each floor is a measured modelled speedup truncated to
+/// three decimals. Unlike a wall-clock speedup it does not depend on the
+/// host's core count, so a change that shifts work onto the busiest node
+/// fails here on any host.
+#[test]
+fn modelled_speedup_floors() {
+    let floors = [
+        (BenchApp::AudioBeamformer, 4.271),
+        (BenchApp::ChannelVocoder, 9.195),
+        (BenchApp::ComplexFir, 2.109),
+        (BenchApp::Fft, 6.339),
+        (BenchApp::Jpeg, 3.839),
+        (BenchApp::Mp3, 2.766),
+    ];
+    assert_eq!(floors.map(|(app, _)| app), BenchApp::all());
+    for (app, floor) in floors {
+        let w = Workload::new(app, Size::Small);
+        let report = run(w.build().0, &guarded_error_free(w.frames())).expect("runs");
+        assert!(report.completed, "{app}");
+        let speedup = modelled_speedup(&report);
+        assert!(
+            speedup >= floor,
+            "{app}: modelled speedup {speedup:.4} < {floor}"
+        );
+    }
+    let report = run(pipeline4(), &guarded_error_free(1_000)).expect("runs");
+    let speedup = modelled_speedup(&report);
+    assert!(
+        speedup >= 3.015,
+        "guarded pipeline-4: modelled speedup {speedup:.4} < 3.015"
+    );
 }
