@@ -44,8 +44,6 @@ mod unit;
 
 pub use ptr::{PointerMode, PtrCell, Which};
 pub use ring::{PushError, QueueSpec, SimQueue};
-pub use spsc::{
-    spsc_pair, spsc_pair_with, SpscConsumer, SpscProducer, SpscStats, WaitError, DEFAULT_PARK_SLICE,
-};
+pub use spsc::{spsc_pair, SpscConsumer, SpscProducer, SpscStats, WaitError};
 pub use stats::QueueStats;
 pub use unit::{FrameId, Unit, END_FRAME_ID};

@@ -325,10 +325,8 @@ const SPIN_HINTS: u32 = 32;
 const SPIN_YIELDS: u32 = 4;
 /// Parked waits happen in short slices: an unpark token ends one early,
 /// and the bounded slice is the liveness backstop that makes even a
-/// (theoretically) lost wakeup cost one slice, not a hang. This is the
-/// default; paced runs pass a tighter slice via [`spsc_pair_with`] so a
-/// parked worker wakes often enough to observe sub-millisecond deadlines.
-pub const DEFAULT_PARK_SLICE: Duration = Duration::from_millis(1);
+/// (theoretically) lost wakeup cost one slice, not a hang.
+const PARK_SLICE: Duration = Duration::from_millis(1);
 
 /// Retries `f` on `q` until it reports progress, spinning then parking
 /// between attempts. Gives up with [`WaitError::PeerClosed`] once the
@@ -339,7 +337,6 @@ fn blocking_op<R>(
     ctrl: &Ctrl,
     me: usize,
     stall: Duration,
-    park_slice: Duration,
     mut f: impl FnMut(&mut SimQueue) -> Option<R>,
 ) -> Result<R, WaitError> {
     let peer = 1 - me;
@@ -391,7 +388,7 @@ fn blocking_op<R>(
                 None => Err(WaitError::PeerClosed),
             };
         }
-        thread::park_timeout(park_slice.min(dl - now));
+        thread::park_timeout(PARK_SLICE.min(dl - now));
         ctrl.retract_park(me);
     }
 }
@@ -413,29 +410,11 @@ fn wake_if_published(q: &SimQueue, ctrl: &Ctrl, peer: usize, publishes: u64) {
 /// stays valid after both endpoints (typically moved into worker threads)
 /// are gone.
 ///
-/// Every blocking wait on either endpoint is bounded by `stall_timeout`;
-/// parked waits use the [`DEFAULT_PARK_SLICE`].
+/// Every blocking wait on either endpoint is bounded by `stall_timeout`.
 pub fn spsc_pair(
     spec: QueueSpec,
     stall_timeout: Duration,
 ) -> (SpscProducer, SpscConsumer, SpscStats) {
-    spsc_pair_with(spec, stall_timeout, DEFAULT_PARK_SLICE)
-}
-
-/// [`spsc_pair`] with an explicit park slice: the maximum time a blocked
-/// endpoint sleeps between deadline re-checks. Paced real-time runs pass
-/// a slice derived from the frame period (a parked worker must wake often
-/// enough to notice a deadline that is a fraction of the period); the
-/// batch executors keep [`DEFAULT_PARK_SLICE`].
-///
-/// A zero slice is clamped to 1 µs so the park loop cannot become a
-/// pure spin.
-pub fn spsc_pair_with(
-    spec: QueueSpec,
-    stall_timeout: Duration,
-    park_slice: Duration,
-) -> (SpscProducer, SpscConsumer, SpscStats) {
-    let park_slice = park_slice.max(Duration::from_micros(1));
     let (pq, cq) = SimQueue::spsc_views(spec);
     let ctrl = Arc::new(Ctrl::new());
     (
@@ -443,13 +422,11 @@ pub fn spsc_pair_with(
             q: pq,
             ctrl: Arc::clone(&ctrl),
             stall: stall_timeout,
-            park_slice,
         },
         SpscConsumer {
             q: cq,
             ctrl: Arc::clone(&ctrl),
             stall: stall_timeout,
-            park_slice,
         },
         SpscStats { ctrl },
     )
@@ -462,7 +439,6 @@ pub struct SpscProducer {
     q: SimQueue,
     ctrl: Arc<Ctrl>,
     stall: Duration,
-    park_slice: Duration,
 }
 
 impl SpscProducer {
@@ -478,14 +454,7 @@ impl SpscProducer {
         &mut self,
         f: impl FnMut(&mut SimQueue) -> Option<R>,
     ) -> Result<R, WaitError> {
-        blocking_op(
-            &mut self.q,
-            &self.ctrl,
-            PRODUCER,
-            self.stall,
-            self.park_slice,
-            f,
-        )
+        blocking_op(&mut self.q, &self.ctrl, PRODUCER, self.stall, f)
     }
 
     /// Runs `f` once (no blocking) and wakes the consumer — for flushes
@@ -516,7 +485,6 @@ pub struct SpscConsumer {
     q: SimQueue,
     ctrl: Arc<Ctrl>,
     stall: Duration,
-    park_slice: Duration,
 }
 
 impl SpscConsumer {
@@ -531,14 +499,7 @@ impl SpscConsumer {
         &mut self,
         f: impl FnMut(&mut SimQueue) -> Option<R>,
     ) -> Result<R, WaitError> {
-        blocking_op(
-            &mut self.q,
-            &self.ctrl,
-            CONSUMER,
-            self.stall,
-            self.park_slice,
-            f,
-        )
+        blocking_op(&mut self.q, &self.ctrl, CONSUMER, self.stall, f)
     }
 
     /// Runs `f` once (no blocking) and wakes the producer.
@@ -759,37 +720,6 @@ mod tests {
         let start = Instant::now();
         assert_eq!(rx.consume(|q| q.try_pop()), Err(WaitError::TimedOut));
         assert!(start.elapsed() >= Duration::from_millis(40));
-    }
-
-    #[test]
-    fn custom_park_slice_keeps_blocking_semantics() {
-        // A paced-style sub-millisecond slice: same timeout semantics…
-        let (_tx, mut rx, _) = spsc_pair_with(
-            QueueSpec::with_capacity(8),
-            Duration::from_millis(30),
-            Duration::from_micros(100),
-        );
-        let start = Instant::now();
-        assert_eq!(rx.consume(|q| q.try_pop()), Err(WaitError::TimedOut));
-        assert!(start.elapsed() >= Duration::from_millis(30));
-
-        // …and a zero slice is clamped rather than becoming a pure spin.
-        let (mut tx, mut rx, _) = spsc_pair_with(
-            QueueSpec::with_capacity(8),
-            Duration::from_secs(10),
-            Duration::ZERO,
-        );
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                tx.with(|q| {
-                    q.try_push(Unit::Item(3)).unwrap();
-                    q.flush();
-                });
-                drop(tx);
-            });
-            assert_eq!(rx.consume(|q| q.try_pop()), Ok(Unit::Item(3)));
-        });
     }
 
     #[test]

@@ -297,10 +297,6 @@ impl SimConfig {
     ///   `4 × period` (floored at 50 ms) — under pacing a blocked port
     ///   should turn into a recovery well inside a handful of frame
     ///   periods, not after ten wall seconds.
-    /// * the SPSC park slice ([`Self::effective_park_slice`]) shrinks to
-    ///   `period / 20` clamped to [50 µs, 1 ms], so a parked worker
-    ///   wakes often enough to observe a deadline that is a fraction of
-    ///   the period.
     /// * `timeout_rounds` is raised to at least `4 × period` (the
     ///   deterministic analogue): a paced consumer legitimately idles up
     ///   to a full period between released frames, and a QM timeout
@@ -324,16 +320,6 @@ impl SimConfig {
             }
         }
         self
-    }
-
-    /// The SPSC park slice used by the threaded executor: a slice derived
-    /// from the pacing period (`period / 20` µs clamped to [50 µs, 1 ms]),
-    /// else the historical 1 ms.
-    pub fn effective_park_slice(&self) -> Duration {
-        match self.pacing {
-            Pacing::Paced { period, .. } => Duration::from_micros((period / 20).clamp(50, 1000)),
-            Pacing::Off => Duration::from_millis(1),
-        }
     }
 
     /// Sizes the occupancy-sensitive knobs for a graph whose hottest
@@ -434,7 +420,6 @@ mod tests {
         assert!(!c.pacing.is_paced());
         assert_eq!(c.pacing.release(3), 0);
         assert_eq!(c.pacing.deadline_for(3), u64::MAX);
-        assert_eq!(c.effective_park_slice(), Duration::from_millis(1));
 
         let p = Pacing::Paced {
             period: 1000,
@@ -457,7 +442,6 @@ mod tests {
         // Untouched defaults are re-derived from the period…
         let c = SimConfig::error_free(4).pacing(p);
         assert_eq!(c.stall_timeout, Duration::from_millis(80));
-        assert_eq!(c.effective_park_slice(), Duration::from_micros(1000));
         assert_eq!(c.timeout_rounds, 80_000, "QM timeout covers the idle gap");
         // …explicit settings win over the derivation…
         let c = SimConfig::error_free(4)
@@ -466,14 +450,13 @@ mod tests {
             .pacing(p);
         assert_eq!(c.stall_timeout, Duration::from_millis(250));
         assert_eq!(c.timeout_rounds, 512);
-        // …short periods floor the stall timeout and clamp the slice.
+        // …and short periods floor the stall timeout.
         let tight = SimConfig::error_free(4).pacing(Pacing::Paced {
             period: 100,
             deadline: 300,
             slo: 300,
         });
         assert_eq!(tight.stall_timeout, Duration::from_millis(50));
-        assert_eq!(tight.effective_park_slice(), Duration::from_micros(50));
     }
 
     #[test]

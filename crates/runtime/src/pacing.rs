@@ -20,6 +20,12 @@ use cg_telemetry::{Clock, ClockMode, Histogram};
 
 use crate::config::Pacing;
 
+/// How long before a wall-clock release [`PacedSource::wait_release`]
+/// stops sleeping and spins, in µs. A sleep overshoots by the kernel's
+/// timer slack (50 µs by default on Linux), so a source that slept all
+/// the way to the tick would release every frame about that late.
+const SPIN_BEFORE_RELEASE_US: u64 = 60;
+
 /// Drives a run's frame-release schedule against a [`Clock`].
 ///
 /// One `PacedSource` is shared by every source node of a run (clones of a
@@ -76,7 +82,9 @@ impl PacedSource {
         dl != u64::MAX && self.clock.now() >= dl
     }
 
-    /// Blocks (wall clock only) until frame `frame` is released. On the
+    /// Blocks (wall clock only) until frame `frame` is released: sleeps
+    /// until just before the release tick, then spins to it, so the
+    /// release is on time rather than a timer slack late. On the
     /// deterministic virtual clock this must never be called from inside
     /// the scheduler loop — the loop gates source steps on
     /// [`Self::released`] instead — so it returns immediately there.
@@ -90,9 +98,15 @@ impl PacedSource {
             if now >= release {
                 return;
             }
-            // Wall ticks are microseconds; sleep the gap (the OS may wake
-            // us early, hence the loop).
-            std::thread::sleep(Duration::from_micros(release - now));
+            // Wall ticks are microseconds. The OS may wake a sleeper early
+            // (hence the loop) or late by its timer slack, so sleep only
+            // while the gap exceeds the spin window.
+            let gap = release - now;
+            if gap > SPIN_BEFORE_RELEASE_US {
+                std::thread::sleep(Duration::from_micros(gap - SPIN_BEFORE_RELEASE_US));
+            } else {
+                std::hint::spin_loop();
+            }
         }
     }
 }
@@ -283,5 +297,24 @@ mod tests {
         src.wait_release(1); // ~2 ms in
         assert!(clock.now() >= 2000);
         assert!(src.released(1));
+    }
+
+    #[test]
+    fn wall_clock_release_is_never_early_and_rarely_late() {
+        const PERIOD: u64 = 1000;
+        let clock = Clock::new(ClockMode::Wall);
+        let src = PacedSource::new(paced(PERIOD, 2 * PERIOD, 2 * PERIOD), clock.clone());
+        let mut late: Vec<u64> = (0..50)
+            .map(|f| {
+                src.wait_release(f);
+                let now = clock.now();
+                assert!(now >= f * PERIOD, "frame {f} released early at {now} µs");
+                now - f * PERIOD
+            })
+            .collect();
+        late.sort_unstable();
+        // A sleep that ran to the tick would be about one timer slack
+        // (50 µs) late every time.
+        assert!(late[25] < 40, "median lateness {} µs", late[25]);
     }
 }

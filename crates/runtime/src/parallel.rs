@@ -53,18 +53,19 @@
 //! spin-then-park slow path. No mutex or condvar is touched on the
 //! steady-state push/pop path, and each call moves a whole firing's worth
 //! of units through [`CoreGuard::pop_batch`]/[`CoreGuard::push_batch`].
-//! The views run the same [`SimQueue`] protocol as the deterministic
-//! executor, so guarded behaviour is bit-identical. Each worker's
-//! endpoints close when dropped — including panic unwinds — so a dead
-//! neighbour surfaces promptly instead of hanging the run; the stall
-//! timeout backstops everything else.
+//! Each worker publishes its out-ports (partial working sets included) at
+//! every frame's commit, so a committed frame is visible downstream at
+//! once even when the next paced release is a period away. The views run
+//! the same [`SimQueue`] protocol as the deterministic executor, so
+//! guarded behaviour is bit-identical. Each worker's endpoints close when
+//! dropped — including panic unwinds — so a dead neighbour surfaces
+//! promptly instead of hanging the run; the stall timeout backstops
+//! everything else.
 
 use cg_fault::{CoreInjector, StuckAtState};
 use cg_graph::schedule::Schedule;
 use cg_graph::{CostModel, EdgeId, NodeId, NodeKind, StreamGraph};
-use cg_queue::{
-    spsc_pair_with, QueueStats, SimQueue, SpscConsumer, SpscProducer, SpscStats, WaitError,
-};
+use cg_queue::{spsc_pair, QueueStats, SimQueue, SpscConsumer, SpscProducer, SpscStats, WaitError};
 use cg_telemetry::{Clock, ClockMode, CoreProbe, Telemetry};
 use cg_trace::{Event, Tracer, MACHINE_CORE};
 use commguard::CoreGuard;
@@ -208,11 +209,7 @@ pub fn run_parallel(program: Program, config: &SimConfig) -> Result<RunReport, R
     let mut consumers: Vec<Option<SpscConsumer>> = Vec::new();
     let mut edge_stats: Vec<SpscStats> = Vec::new();
     for _ in graph.edges() {
-        let (p, c, s) = spsc_pair_with(
-            config.queue_spec(),
-            config.stall_timeout,
-            config.effective_park_slice(),
-        );
+        let (p, c, s) = spsc_pair(config.queue_spec(), config.stall_timeout);
         producers.push(Some(p));
         consumers.push(Some(c));
         edge_stats.push(s);
@@ -380,32 +377,39 @@ impl<'a> Worker<'a> {
             if self.kind == NodeKind::Source {
                 self.ctx.pace.wait_release(frame);
             }
-            // Open the telemetry frame before the boundary flush so no
-            // wall time goes unattributed.
             self.probe.frame_start();
             let (retries0, degrades0) = (self.retries, self.degrades);
             if frame > 0 {
-                for p in &mut self.ports.outputs {
-                    p.with(SimQueue::flush);
-                }
                 self.guard.scope_boundary();
             }
-            self.drain_headers("draining headers", false)?;
+            self.drain_headers("draining headers")?;
             self.run_frame(frame)?;
+            // Publish before the commit: a paced source starts its next
+            // frame a period later, and downstream must not wait for it.
+            self.publish();
             self.commit_frame(frame, retries0, degrades0);
         }
         self.guard.finish();
         // With the consumer gone and the queue full this drain used to
         // spin forever; the wait is bounded, a dead peer is an error
         // naming the stuck edge, and under recovery the header is forced.
-        self.drain_headers("draining the end header", true)?;
+        self.drain_headers("draining the end header")?;
+        self.publish();
         Ok(self.into_result())
+    }
+
+    /// Publishes every out-port's pending units (flushing the working set
+    /// also wakes the consumer).
+    fn publish(&mut self) {
+        for p in &mut self.ports.outputs {
+            p.with(SimQueue::flush);
+        }
     }
 
     /// Drains every out-port's pending header, blocking on full queues;
     /// under recovery a stalled drain is forced so the next boundary finds
-    /// the port clear. `flush` publishes each port right after its drain.
-    fn drain_headers(&mut self, action: &str, flush: bool) -> Result<(), RunError> {
+    /// the port clear.
+    fn drain_headers(&mut self, action: &str) -> Result<(), RunError> {
         for port in 0..self.push_rates.len() {
             let out = &mut self.ports.outputs[port];
             let guard = &mut self.guard;
@@ -424,9 +428,6 @@ impl<'a> Worker<'a> {
                         guard.hi_force(port, q);
                     }
                 });
-            }
-            if flush {
-                out.with(SimQueue::flush);
             }
         }
         Ok(())
@@ -877,6 +878,27 @@ mod tests {
         let (p, _) = program();
         let unpaced = run_parallel(p, &SimConfig::error_free(10)).unwrap();
         assert!(unpaced.pacing.is_none());
+    }
+
+    #[test]
+    fn paced_frames_publish_at_commit() {
+        use crate::config::Pacing;
+        const PERIOD: u64 = 10_000;
+        // A frame the source published only when it started the next one
+        // would reach the sink at least a period after its release, however
+        // idle the host. Published at its commit, it needs only its
+        // pipeline time and a few wake-ups, which stay far below a 10 ms
+        // period even on a loaded host.
+        let cfg = SimConfig::error_free(20).pacing(Pacing::Paced {
+            period: PERIOD,
+            deadline: 100_000,
+            slo: 100_000,
+        });
+        let (p, _) = program();
+        let got = run_parallel(p, &cfg).unwrap();
+        let pr = got.pacing.expect("paced run reports pacing");
+        let p50 = pr.latency.quantile(0.5);
+        assert!(p50 < PERIOD, "p50 release-to-commit latency {p50} µs");
     }
 
     #[test]
